@@ -70,14 +70,11 @@ from .coverlift import (
 from .pacert import (
     Classification,
     MulticurvePair,
-    RibbonGraph,
     chain_pair,
-    chain_rotation_search,
     classify,
     complement_euler,
     mu,
     parse_twist_word,
-    ribbon_faces,
 )
 from .twobridge import (
     TwoBridgeFraction,

@@ -28,7 +28,6 @@ from .checks import (
 from .report import (
     ReportFormatError,
     build_report,
-    canonical_json,
     emit_csv,
     emit_json,
     emit_table,
@@ -137,45 +136,60 @@ def _cmd_check(args) -> int:
     return STATUS_EXIT.get(record.get("status", "error"), EXIT_ERROR)
 
 
+def _open_output(path: str | None):
+    """Stream for a report: the file at path, or stdout when path is empty.
+
+    Returns None, after printing the reason, when the file cannot be opened.
+    """
+    if not path:
+        return sys.stdout
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def _emit(document: dict, fmt: str, handle) -> None:
+    if fmt == "json":
+        emit_json(document, handle)
+    elif fmt == "csv":
+        emit_csv(document, handle)
+    else:
+        emit_table(document, handle)
+
+
 def _cmd_sweep(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as handle:
             config = parse_config(handle.read())
+        if args.parallelism is not None:
+            config = type(config)(
+                **{**config.__dict__, "parallelism": args.parallelism}
+            )
+        if args.output is not None:
+            config = type(config)(**{**config.__dict__, "output": args.output})
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.parallelism is not None:
-        config = type(config)(
-            **{**config.__dict__, "parallelism": args.parallelism}
-        )
-    if args.output is not None:
-        config = type(config)(**{**config.__dict__, "output": args.output})
-    records = run_sweep(config)
-    document = build_report(records, timing=config.timing)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
-            if config.format == "json":
-                emit_json(document, handle)
-            elif config.format == "csv":
-                emit_csv(document, handle)
-            else:
-                emit_table(document, handle)
-        target = config.output
-    else:
-        if config.format == "json":
-            emit_json(document, sys.stdout)
-        elif config.format == "csv":
-            emit_csv(document, sys.stdout)
-        else:
-            emit_table(document, sys.stdout)
-        target = "stdout"
+    # open the output before the compute, so a bad path fails fast
+    handle = _open_output(config.output)
+    if handle is None:
+        return EXIT_ERROR
+    try:
+        records = run_sweep(config)
+        _emit(build_report(records, timing=config.timing), config.format, handle)
+    finally:
+        if handle is not sys.stdout:
+            handle.close()
     counts: dict[str, int] = {}
     for record in records:
         counts[record["status"]] = counts.get(record["status"], 0) + 1
     summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+    target = config.output or "stdout"
     print(f"records={len(records)} {summary} -> {target}", file=sys.stderr)
     return exit_code_for(records)
 
@@ -191,19 +205,13 @@ def _cmd_emit(args) -> int:
     except (json.JSONDecodeError, ReportFormatError) as exc:
         print(f"report error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.output:
-        handle = open(args.output, "w", encoding="utf-8")
-    else:
-        handle = sys.stdout
+    handle = _open_output(args.output)
+    if handle is None:
+        return EXIT_ERROR
     try:
-        if args.format == "json":
-            handle.write(canonical_json(document))
-        elif args.format == "csv":
-            emit_csv(document, handle)
-        else:
-            emit_table(document, handle)
+        _emit(document, args.format, handle)
     finally:
-        if args.output:
+        if handle is not sys.stdout:
             handle.close()
     return EXIT_OK
 

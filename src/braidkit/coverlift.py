@@ -12,6 +12,10 @@ monodromy matrix by a linear solve.
 
 All matrices here are tuples of tuples of Python ints (or Fractions in
 the solver internals); sizes stay small, so exactness beats vectorization.
+A transvection touches one row, so the lift updates that row per letter;
+the product of `transvection` matrices is the reference it is tested
+against.  Alexander-module invariant factors use the rational-polynomial
+helpers of `laurent`.
 """
 
 from __future__ import annotations
@@ -20,12 +24,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .braid import BraidWord, VARIANTS, FamilySpec, family_braid
-from .laurent import LaurentPoly, charpoly
+from .laurent import (
+    LaurentPoly,
+    QPoly,
+    charpoly,
+    qadd,
+    qdivmod,
+    qmonic,
+    qmul,
+    qneg,
+    qtrim,
+    to_qpoly,
+)
 
 IntMatrix = tuple[tuple[int, ...], ...]
-
-QPoly = tuple[Fraction, ...]
-# rational polynomials, coefficient of t^k at position k, no trailing zeros
 
 
 class ConventionError(ValueError):
@@ -111,17 +123,26 @@ def transvection(surface: ChainSurface, index: int, sign: int) -> IntMatrix:
 
 
 def lift_homological(word: BraidWord, surface: ChainSurface) -> IntMatrix:
-    """Ordered product of chain transvections; earlier letters act first."""
+    """Ordered product of chain transvections; earlier letters act first.
+
+    Left-multiplying by transvection(surface, i, sign) changes only row i:
+    row_i -= sign * (row_{i+1} - row_{i-1}), missing neighbours being zero.
+    """
     if word.strands != surface.strands:
         raise ValueError(
             f"word on {word.strands} strands does not act on a genus "
             f"{surface.genus} chain surface ({surface.strands} strands)"
         )
-    acc = mat_identity(surface.rank)
+    k = surface.rank
+    rows = [list(row) for row in mat_identity(k)]
+    zero = [0] * k
     for letter in word.letters:
-        t = transvection(surface, abs(letter), 1 if letter > 0 else -1)
-        acc = mat_mul(t, acc)
-    return acc
+        i = abs(letter) - 1
+        sign = 1 if letter > 0 else -1
+        above = rows[i - 1] if i > 0 else zero
+        below = rows[i + 1] if i + 1 < k else zero
+        rows[i] = [x - sign * (b - a) for x, a, b in zip(rows[i], above, below)]
+    return tuple(tuple(row) for row in rows)
 
 
 def is_symplectic(matrix: IntMatrix, surface: ChainSurface) -> bool:
@@ -247,65 +268,6 @@ def seifert_from_monodromy(matrix: IntMatrix, surface: ChainSurface) -> IntMatri
     return tuple(out)
 
 
-def _ptrim(coeffs: list[Fraction]) -> QPoly:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _pdeg(p: QPoly) -> int:
-    return len(p) - 1
-
-
-def _padd(p: QPoly, q: QPoly) -> QPoly:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return _ptrim(out)
-
-
-def _pneg(p: QPoly) -> QPoly:
-    return tuple(-c for c in p)
-
-
-def _pmul(p: QPoly, q: QPoly) -> QPoly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _ptrim(out)
-
-
-def _pdivmod(p: QPoly, q: QPoly) -> tuple[QPoly, QPoly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq = _pdeg(q)
-    lead = q[-1]
-    for k in range(len(rem) - 1, dq - 1, -1):
-        if rem[k] == 0:
-            continue
-        f = rem[k] / lead
-        quo[k - dq] = f
-        for j in range(len(q)):
-            rem[k - dq + j] -= f * q[j]
-    return _ptrim(quo), _ptrim(rem)
-
-
-def _pmonic(p: QPoly) -> QPoly:
-    if not p:
-        return p
-    lead = p[-1]
-    return tuple(c / lead for c in p)
-
-
 def alexander_module_invariants(
     matrix: IntMatrix,
 ) -> tuple[QPoly, ...]:
@@ -318,7 +280,7 @@ def alexander_module_invariants(
     size = len(matrix)
     work: list[list[QPoly]] = [
         [
-            _ptrim(
+            qtrim(
                 [Fraction(-matrix[r][c]), Fraction(1)]
                 if r == c
                 else [Fraction(-matrix[r][c])]
@@ -339,7 +301,7 @@ def alexander_module_invariants(
         while True:
             best = None
             for r, c in nonzero_positions(top):
-                if best is None or _pdeg(work[r][c]) < _pdeg(
+                if best is None or len(work[r][c]) < len(
                     work[best[0]][best[1]]
                 ):
                     best = (r, c)
@@ -353,21 +315,21 @@ def alexander_module_invariants(
             dirty = False
             for r in range(top + 1, size):
                 if work[r][top]:
-                    q, rem = _pdivmod(work[r][top], pivot)
+                    q, rem = qdivmod(work[r][top], pivot)
                     if q:
                         for c in range(top, size):
-                            work[r][c] = _padd(
-                                work[r][c], _pneg(_pmul(q, work[top][c]))
+                            work[r][c] = qadd(
+                                work[r][c], qneg(qmul(q, work[top][c]))
                             )
                     if work[r][top]:
                         dirty = True
             for c in range(top + 1, size):
                 if work[top][c]:
-                    q, rem = _pdivmod(work[top][c], pivot)
+                    q, rem = qdivmod(work[top][c], pivot)
                     if q:
                         for r in range(top, size):
-                            work[r][c] = _padd(
-                                work[r][c], _pneg(_pmul(q, work[r][top]))
+                            work[r][c] = qadd(
+                                work[r][c], qneg(qmul(q, work[r][top]))
                             )
                     if work[top][c]:
                         dirty = True
@@ -378,7 +340,7 @@ def alexander_module_invariants(
             for r in range(top + 1, size):
                 for c in range(top + 1, size):
                     if work[r][c]:
-                        _, rem = _pdivmod(work[r][c], pivot)
+                        _, rem = qdivmod(work[r][c], pivot)
                         if rem:
                             offender = r
                             break
@@ -387,22 +349,14 @@ def alexander_module_invariants(
             if offender is None:
                 break
             for c in range(top, size):
-                work[top][c] = _padd(work[top][c], work[offender][c])
-        if work[top][top]:
-            factors.append(_pmonic(work[top][top]))
-        else:
-            factors.append(())
-    return tuple(f for f in factors if f and _pdeg(f) >= 1)
+                work[top][c] = qadd(work[top][c], work[offender][c])
+        factors.append(qmonic(work[top][top]))
+    return tuple(f for f in factors if len(f) >= 2)
 
 
 def qpoly_from_laurent(poly: LaurentPoly) -> QPoly:
     """Monic rational form of an integer polynomial with offset 0."""
-    if poly.is_zero():
-        return ()
-    if poly.offset < 0:
-        raise ValueError("negative exponents have no polynomial form")
-    coeffs = [Fraction(0)] * poly.offset + [Fraction(c) for c in poly.coeffs]
-    return _pmonic(_ptrim(coeffs))
+    return qmonic(to_qpoly(poly))
 
 
 def growth_sequence(

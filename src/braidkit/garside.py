@@ -43,10 +43,6 @@ def permutation_length(p: Permutation) -> int:
     return sum(1 for a in range(len(im)) for b in range(a + 1, len(im)) if im[a] > im[b])
 
 
-def is_left_weighted(a: Permutation, b: Permutation) -> bool:
-    return starting_set(b) <= finishing_set(a)
-
-
 def simple_to_word(p: Permutation, strands: int) -> BraidWord:
     """A reduced positive word for a simple element (smallest-descent-first)."""
     letters = []
@@ -68,10 +64,6 @@ class NormalForm:
     strands: int
     power: int
     factors: tuple[Permutation, ...]
-
-    @property
-    def canonical_length(self) -> int:
-        return len(self.factors)
 
     def as_word(self) -> BraidWord:
         word = delta_word(self.strands) ** self.power

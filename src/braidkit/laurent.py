@@ -11,6 +11,11 @@ for a B sound against a minor-coefficient bound, the resulting integer matrix
 is eliminated fraction-free (Bareiss), and the determinant polynomial is read
 back off the final integer in balanced base-2**B digits.  This keeps the hot
 loop inside CPython's big-integer multiply instead of per-coefficient Python.
+
+It also holds the rational polynomial arithmetic (dense ascending Fraction
+tuples: trim, add, negate, multiply, divmod, monic, and conversion from a
+LaurentPoly) on which the rational gcd, Sturm root counting, the mu tests
+of `pacert` and the Alexander-module factors of `coverlift` are built.
 """
 
 from __future__ import annotations
@@ -371,58 +376,101 @@ def charpoly(matrix) -> LaurentPoly:
     return det_laurent(entries)
 
 
+# -- rational polynomials ----------------------------------------------
+
+QPoly = tuple[Fraction, ...]
+# rational polynomials, coefficient of t^k at position k, no trailing zeros
+
+
+def qtrim(coeffs) -> QPoly:
+    n = len(coeffs)
+    while n and coeffs[n - 1] == 0:
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+def qadd(p: QPoly, q: QPoly) -> QPoly:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return qtrim(out)
+
+
+def qneg(p: QPoly) -> QPoly:
+    return tuple(-c for c in p)
+
+
+def qmul(p: QPoly, q: QPoly) -> QPoly:
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return qtrim(out)
+
+
+def qdivmod(p: QPoly, q: QPoly) -> tuple[QPoly, QPoly]:
+    """Quotient and remainder of p by q over the rationals (unique)."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p)
+    dq = len(q) - 1
+    lead = q[-1]
+    quo = [Fraction(0)] * max(len(rem) - dq, 0)
+    for k in range(len(rem) - 1, dq - 1, -1):
+        c = rem[k]
+        if c:
+            f = c / lead
+            quo[k - dq] = f
+            for j in range(dq):
+                rem[k - dq + j] -= f * q[j]
+    # every entry from dq up was cancelled exactly
+    return qtrim(quo), qtrim(rem[:dq])
+
+
+def qmonic(p: QPoly) -> QPoly:
+    if not p:
+        return p
+    lead = p[-1]
+    return tuple(c / lead for c in p)
+
+
+def to_qpoly(poly: LaurentPoly) -> QPoly:
+    """Rational coefficients of a Laurent polynomial with no negative exponents."""
+    if poly.is_zero():
+        return ()
+    if poly.offset < 0:
+        raise ValueError("negative exponents have no polynomial form")
+    return (Fraction(0),) * poly.offset + tuple(Fraction(c) for c in poly.coeffs)
+
+
 def poly_gcd_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Monic gcd of two rational coefficient polynomials (dense, ascending)."""
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = trim(list(a)), trim(list(b))
+    a, b = qtrim(a), qtrim(b)
     while b:
-        a, b = b, trim(_poly_mod(a, b))
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    r = list(a)
-    while len(r) >= len(b) and any(r):
-        if r[-1] == 0:
-            r.pop()
-            continue
-        q = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        for i, c in enumerate(b):
-            r[shift + i] -= q * c
-        r.pop()
-    return r
+        a, b = b, qdivmod(a, b)[1]
+    return list(qmonic(a))
 
 
 def sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
     """Sturm chain of a squarefree-or-not rational polynomial (dense, ascending)."""
-
-    def trim(q):
-        while q and q[-1] == 0:
-            q.pop()
-        return q
-
-    p0 = trim([Fraction(c) for c in p])
+    p0 = qtrim([Fraction(c) for c in p])
     if not p0:
         return []
-    p1 = trim([Fraction(i * c) for i, c in enumerate(p0)][1:])
+    p1 = qtrim([i * c for i, c in enumerate(p0)][1:])
     chain = [p0]
     if p1:
         chain.append(p1)
     while len(chain[-1]) > 1:
-        rem = trim([-c for c in _poly_mod(chain[-2], chain[-1])])
+        rem = qneg(qdivmod(chain[-2], chain[-1])[1])
         if not rem:
             break
         chain.append(rem)
-    return chain
+    return [list(q) for q in chain]
 
 
 def _sign_changes(chain: list[list[Fraction]], x: Fraction) -> int:

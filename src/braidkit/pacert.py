@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPoly, charpoly, count_roots_in, poly_gcd_q
+from .laurent import LaurentPoly, charpoly, count_roots_in, poly_gcd_q, to_qpoly
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -78,12 +78,8 @@ class MulticurvePair:
         return len(seen) == a + b
 
 
-def chain_pair(genus: int, punctured: bool = True) -> MulticurvePair:
-    """Even/odd split of the 2g-chain: curve 2i crosses curves 2i-1, 2i+1.
-
-    The punctured flag does not change the crossing pattern; it is accepted
-    so call sites can mirror the surface they have in mind.
-    """
+def chain_pair(genus: int) -> MulticurvePair:
+    """Even/odd split of the 2g-chain: curve 2i crosses curves 2i-1, 2i+1."""
     if genus < 1:
         raise ValueError("genus must be at least 1")
     g = genus
@@ -103,12 +99,6 @@ def _gram(pair: MulticurvePair) -> IntMatrix:
     )
 
 
-def _charpoly_coeffs(matrix: IntMatrix) -> list[Fraction]:
-    poly = charpoly(matrix)
-    out = [Fraction(0)] * poly.offset + [Fraction(c) for c in poly.coeffs]
-    return out
-
-
 def mu_enclosure(
     pair: MulticurvePair, tolerance: Fraction = MU_TOLERANCE
 ) -> tuple[Fraction, Fraction]:
@@ -121,7 +111,7 @@ def mu_enclosure(
     if all(x == 0 for row in pair.matrix for x in row):
         raise ValueError("zero intersection matrix has no top eigenvalue")
     gram = _gram(pair)
-    coeffs = _charpoly_coeffs(gram)
+    coeffs = to_qpoly(charpoly(gram))
     bound = Fraction(max(sum(abs(x) for x in row) for row in gram) + 1)
     lo, hi = Fraction(0), bound
     # peel off the largest root: shrink from above first
@@ -230,15 +220,11 @@ def trace_polynomial(word: TwistWord) -> LaurentPoly:
     return tr[0]
 
 
-def _poly_coeffs(poly: LaurentPoly) -> list[Fraction]:
-    return [Fraction(0)] * poly.offset + [Fraction(c) for c in poly.coeffs]
-
-
 def _interval_eval(
     poly: LaurentPoly, lo: Fraction, hi: Fraction
 ) -> tuple[Fraction, Fraction]:
     acc_lo, acc_hi = Fraction(0), Fraction(0)
-    for c in reversed(_poly_coeffs(poly)):
+    for c in reversed(to_qpoly(poly)):
         cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
         acc_lo, acc_hi = min(cands) + c, max(cands) + c
     return acc_lo, acc_hi
@@ -250,8 +236,7 @@ def _vanishes_at_mu(
     """Exact test of poly(mu) = 0 given an isolating enclosure of mu."""
     if poly.is_zero():
         return True
-    gram = _gram(pair)
-    common = poly_gcd_q(_poly_coeffs(poly), _charpoly_coeffs(gram))
+    common = poly_gcd_q(to_qpoly(poly), to_qpoly(charpoly(_gram(pair))))
     if len(common) <= 1:
         return False
     return count_roots_in(common, lo, hi) >= 1
@@ -304,7 +289,7 @@ def classify(
 def _refine(
     pair: MulticurvePair, lo: Fraction, hi: Fraction
 ) -> tuple[Fraction, Fraction]:
-    coeffs = _charpoly_coeffs(_gram(pair))
+    coeffs = to_qpoly(charpoly(_gram(pair)))
     for _ in range(40):
         mid = (lo + hi) / 2
         if count_roots_in(coeffs, mid, hi) >= 1:
@@ -327,95 +312,3 @@ def complement_euler(genus: int, punctured: bool) -> int:
     surface_chi = (1 if punctured else 2) - 2 * genus
     graph_chi = (2 * genus - 1) - 2 * (2 * genus - 1)
     return surface_chi - graph_chi
-
-
-@dataclass(frozen=True)
-class RibbonGraph:
-    """Graph with a rotation system; half-edges 2k and 2k+1 form edge k.
-
-    rotations lists, per vertex, the counterclockwise cyclic order of the
-    incident half-edges; every half-edge appears exactly once overall.
-    """
-
-    edge_count: int
-    rotations: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        seen = [h for cycle in self.rotations for h in cycle]
-        if sorted(seen) != list(range(2 * self.edge_count)):
-            raise ValueError("rotation system must list each half-edge once")
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.rotations)
-
-
-def ribbon_faces(graph: RibbonGraph) -> int:
-    """Number of boundary-traced faces; V - E + F is the closed-up chi."""
-    succ = {}
-    for cycle in graph.rotations:
-        for idx, h in enumerate(cycle):
-            succ[h] = cycle[(idx + 1) % len(cycle)]
-    faces = 0
-    seen: set[int] = set()
-    for start in range(2 * graph.edge_count):
-        if start in seen:
-            continue
-        faces += 1
-        h = start
-        while h not in seen:
-            seen.add(h)
-            h = succ[h ^ 1]
-    return faces
-
-
-def chain_graph_edges(genus: int) -> tuple[tuple[int, int], ...]:
-    """Edges of the union of 2g chain curves on vertices 0..2g-2.
-
-    Vertex i is the crossing of curves i+1 and i+2.  The two end curves
-    contribute loops; every middle curve contributes a parallel pair of
-    edges between consecutive crossings.
-    """
-    if genus < 1:
-        raise ValueError("genus must be at least 1")
-    v = 2 * genus - 1
-    edges = [(0, 0)]
-    for i in range(v - 1):
-        edges.append((i, i + 1))
-        edges.append((i, i + 1))
-    edges.append((v - 1, v - 1))
-    return tuple(edges)
-
-
-def chain_rotation_search(genus: int) -> tuple[RibbonGraph, int] | None:
-    """Search per-vertex rotations of the chain union for a one-face embedding.
-
-    A one-face rotation realizes the closed-surface embedding whose
-    complement is a disk; returns the first such ribbon graph and its face
-    count, or None if the search space has no such rotation.
-    """
-    from itertools import permutations, product
-
-    edges = chain_graph_edges(genus)
-    v = 2 * genus - 1
-    incident: list[list[int]] = [[] for _ in range(v)]
-    for k, (a, b) in enumerate(edges):
-        incident[a].append(2 * k)
-        incident[b].append(2 * k + 1)
-    options = []
-    for vertex in range(v):
-        half = incident[vertex]
-        if len(half) != 4:
-            raise AssertionError("chain union must be 4-valent")
-        fixed = half[0]
-        options.append(
-            [
-                (fixed,) + rest
-                for rest in permutations(half[1:])
-            ]
-        )
-    for choice in product(*options):
-        graph = RibbonGraph(len(edges), tuple(choice))
-        if ribbon_faces(graph) == 1:
-            return graph, 1
-    return None

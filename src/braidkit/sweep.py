@@ -89,6 +89,13 @@ class SweepConfig:
             raise ConfigError(f"unknown output format {self.format!r}")
 
 
+def _parse_int(text: str, key: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{key}: {text.strip()!r} is not an integer") from None
+
+
 def _parse_range(text: str, key: str) -> tuple[int, ...]:
     out: list[int] = []
     for part in text.split(","):
@@ -97,12 +104,12 @@ def _parse_range(text: str, key: str) -> tuple[int, ...]:
             continue
         if ".." in part:
             lo_text, hi_text = part.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
+            lo, hi = _parse_int(lo_text, key), _parse_int(hi_text, key)
             if hi < lo:
                 raise ConfigError(f"{key}: empty range {part!r}")
             out.extend(range(lo, hi + 1))
         else:
-            out.append(int(part))
+            out.append(_parse_int(part, key))
     if not out:
         raise ConfigError(f"{key}: no values")
     return tuple(dict.fromkeys(out))
@@ -156,7 +163,7 @@ def parse_config(text: str) -> SweepConfig:
     if "format" in values:
         kwargs["format"] = values["format"]
     if "parallelism" in values:
-        kwargs["parallelism"] = int(values["parallelism"])
+        kwargs["parallelism"] = _parse_int(values["parallelism"], "parallelism")
     if "timing" in values:
         flag = values["timing"].lower()
         if flag not in ("on", "off", "true", "false"):

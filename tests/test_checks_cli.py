@@ -1,5 +1,6 @@
 """Check registry, report emission, sweep configs, and the CLI driver."""
 
+import hashlib
 import io
 import json
 
@@ -12,6 +13,7 @@ from braidkit.checks import (
     exit_code_for,
     run_check,
 )
+from braidkit import cli
 from braidkit.cli import main
 from braidkit.laurent import LaurentPoly
 from braidkit.report import (
@@ -265,6 +267,18 @@ def test_parse_config_errors():
         parse_config("genus = 2\npower = 0\ntiming = sometimes\n")
 
 
+@pytest.mark.parametrize("key", ["genus", "power", "parallelism"])
+def test_non_integer_config_value_names_the_key(key, tmp_path, capsys):
+    values = {"genus": "2", "power": "0", "parallelism": "1", key: "x"}
+    text = "".join(f"{k} = {v}\n" for k, v in values.items())
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text)
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    assert main(["sweep", "--config", str(config)]) == 1
+    assert f"config error: {key}" in capsys.readouterr().err
+
+
 def test_sweep_cardinality():
     cfg = SweepConfig(
         genus=(2, 3, 4),
@@ -291,6 +305,23 @@ def test_sweep_determinism_across_parallelism():
     par = run_sweep(SweepConfig(parallelism=2, **base))
     assert canonical_json(build_report(seq)) == canonical_json(
         build_report(par)
+    )
+
+
+def test_sweep_canonical_bytes_are_pinned():
+    # every check group over genus 1..3, power 0..2, both variants; a
+    # refactor of any layer must leave these bytes unchanged
+    cfg = SweepConfig(
+        genus=(1, 2, 3), power=(0, 1, 2), variants=("original", "enhanced")
+    )
+    records = run_sweep(cfg)
+    assert len(records) == 18
+    digest = hashlib.sha256(
+        canonical_json(build_report(records)).encode("utf-8")
+    ).hexdigest()
+    assert (
+        digest
+        == "ac8875544dcf32423feada814df67cc1d5cf7bdd6cadd07798f5caefa048a502"
     )
 
 
@@ -394,6 +425,32 @@ def test_cli_sweep_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 1
     capsys.readouterr()
+    config.write_text("genus = 2\npower = 0\n")
+    assert main(["sweep", "--config", str(config), "--parallelism", "0"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_sweep_unwritable_output_fails_before_compute(
+    tmp_path, capsys, monkeypatch
+):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("genus = 2\npower = 0\nchecks = unknot\n")
+
+    def no_compute(config):
+        raise AssertionError("sweep ran although its output cannot be written")
+
+    monkeypatch.setattr(cli, "run_sweep", no_compute)
+    target = tmp_path / "missing" / "x.json"
+    assert main(["sweep", "--config", str(config), "--output", str(target)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_emit_unwritable_output(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(canonical_json(build_report(sample_records())))
+    target = tmp_path / "missing" / "y.json"
+    assert main(["emit", "--input", str(report), "--output", str(target)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_emit_rejects_malformed(tmp_path, capsys):

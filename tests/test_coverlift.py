@@ -70,6 +70,22 @@ def test_transvection_matrices():
         transvection(s, 1, 0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda g: st.tuples(st.just(g), small_words(genus=g, max_len=12))
+    )
+)
+def test_lift_equals_transvection_product(case):
+    genus, word = case
+    s = ChainSurface(genus)
+    expected = mat_identity(s.rank)
+    for letter in word.letters:
+        t = transvection(s, abs(letter), 1 if letter > 0 else -1)
+        expected = mat_mul(t, expected)
+    assert lift_homological(word, s) == expected
+
+
 def test_transvections_are_symplectic():
     s = ChainSurface(3)
     for i in range(1, 7):

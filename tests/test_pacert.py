@@ -1,4 +1,4 @@
-"""Twist-pair classification, eigenvalue enclosures, and ribbon graph faces."""
+"""Twist-pair classification, eigenvalue enclosures, and filling Euler counts."""
 
 import math
 from fractions import Fraction
@@ -11,16 +11,12 @@ from braidkit.pacert import (
     MU_TOLERANCE,
     MarginError,
     MulticurvePair,
-    RibbonGraph,
-    chain_graph_edges,
     chain_pair,
-    chain_rotation_search,
     classify,
     complement_euler,
     mu,
     mu_enclosure,
     parse_twist_word,
-    ribbon_faces,
     trace_polynomial,
 )
 
@@ -192,53 +188,3 @@ def test_complement_euler():
         assert complement_euler(g, punctured=False) == 1
     with pytest.raises(ValueError):
         complement_euler(0, punctured=True)
-
-
-# -- ribbon graphs -------------------------------------------------------
-
-
-def test_ribbon_graph_validation():
-    RibbonGraph(3, ((0, 2, 4), (1, 3, 5)))
-    with pytest.raises(ValueError):
-        RibbonGraph(2, ((0, 1), (1, 2)))  # half-edge 1 listed twice
-    with pytest.raises(ValueError):
-        RibbonGraph(2, ((0, 1, 2),))  # half-edge 3 missing
-
-
-def test_theta_graph_faces():
-    # two vertices joined by three edges: the rotation decides the genus
-    assert ribbon_faces(RibbonGraph(3, ((0, 2, 4), (1, 5, 3)))) == 3  # planar
-    assert ribbon_faces(RibbonGraph(3, ((0, 2, 4), (1, 3, 5)))) == 1  # torus
-
-
-def test_single_loop_faces():
-    # one vertex, one loop: 2 faces, the disk and the outside
-    assert ribbon_faces(RibbonGraph(1, ((0, 1),))) == 2
-
-
-def test_chain_graph_edges():
-    assert chain_graph_edges(1) == ((0, 0), (0, 0))
-    assert chain_graph_edges(2) == (
-        (0, 0),
-        (0, 1),
-        (0, 1),
-        (1, 2),
-        (1, 2),
-        (2, 2),
-    )
-    for g in (1, 2, 3, 4):
-        edges = chain_graph_edges(g)
-        assert len(edges) == 2 * (2 * g - 1)
-
-
-def test_chain_rotation_search_finds_one_face():
-    for g in (1, 2, 3):
-        out = chain_rotation_search(g)
-        assert out is not None
-        graph, faces = out
-        assert faces == 1
-        assert ribbon_faces(graph) == 1
-        # Euler count: V - E + F = 2 - 2 * surface_genus must give genus g
-        v = 2 * g - 1
-        e = 2 * (2 * g - 1)
-        assert (2 - (v - e + 1)) // 2 == g
