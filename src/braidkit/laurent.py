@@ -16,13 +16,19 @@ It also holds the rational polynomial arithmetic (dense ascending Fraction
 tuples: trim, add, negate, multiply, divmod, monic, and conversion from a
 LaurentPoly) on which the rational gcd, Sturm root counting, the mu tests
 of `pacert` and the Alexander-module factors of `coverlift` are built.
+
+Root counting is fraction-free.  A Sturm chain is built once over the
+rationals, divided by gcd(p, p') and scaled row by row to integers by
+positive factors, which keep every sign.  The sign of a row q of degree d at
+x = a/b (b > 0) is the sign of the integer sum c_i a^i b^(d-i), which is
+b^d q(x).  Bisections pass the prebuilt `SturmChain` to `count_roots_in`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 
 def _trim(offset: int, coeffs: list[int]) -> tuple[int, tuple[int, ...]]:
@@ -456,11 +462,22 @@ def poly_gcd_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return list(qmonic(a))
 
 
-def sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
+class SturmChain(list):
+    """Sturm chain of a rational polynomial as integer rows (dense, ascending).
+
+    Row i is a positive integer multiple of p_i / gcd(p, p'), where p_i is
+    the rational Sturm chain.  The positive scale keeps every sign; the
+    division keeps the rows from all vanishing at a multiple root of p.
+    `count_roots_in` takes one of these in place of a polynomial, so a
+    bisection builds its chain once.
+    """
+
+
+def sturm_chain(p) -> SturmChain:
     """Sturm chain of a squarefree-or-not rational polynomial (dense, ascending)."""
     p0 = qtrim([Fraction(c) for c in p])
     if not p0:
-        return []
+        return SturmChain()
     p1 = qtrim([i * c for i, c in enumerate(p0)][1:])
     chain = [p0]
     if p1:
@@ -470,23 +487,53 @@ def sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
         if not rem:
             break
         chain.append(rem)
-    return [list(q) for q in chain]
+    # the last row is gcd(p, p'); dividing it out gives the Sturm chain of
+    # the squarefree part, which stays nonzero at multiple roots of p
+    common = chain[-1]
+    if len(common) > 1:
+        chain = [qdivmod(q, common)[0] for q in chain]
+    return SturmChain(_integer_row(q) for q in chain)
 
 
-def _sign_changes(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
+def _integer_row(q: QPoly) -> list[int]:
+    """q times the positive lcm of its denominators, over the numerators' gcd."""
+    scale = lcm(*(c.denominator for c in q))
+    row = [int(c * scale) for c in q]
+    content = gcd(*row)
+    return [c // content for c in row]
+
+
+def _sign_changes(chain: SturmChain, x: Fraction) -> int:
+    """Sign changes along the chain at the rational x = a/b, in integers.
+
+    With b > 0 the homogenised sum of c_i a^i b^(d-i) is b^d q(x), so it has
+    the sign of q(x); Horner in a with the powers of b does it exactly.
+    """
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    powers = [1]
+    for _ in range(max(len(q) for q in chain) - 1):
+        powers.append(powers[-1] * b)
+    changes = 0
+    last = 0
     for q in chain:
-        acc = Fraction(0)
-        for c in reversed(q):
-            acc = acc * x + c
-        if acc != 0:
-            signs.append(1 if acc > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        d = len(q) - 1
+        acc = q[d]
+        for i in range(d - 1, -1, -1):
+            acc = acc * a + q[i] * powers[d - i]
+        if acc:
+            if last and (acc > 0) != (last > 0):
+                changes += 1
+            last = acc
+    return changes
 
 
-def count_roots_in(p: list[Fraction], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in the half-open interval (lo, hi]."""
-    chain = sturm_chain(p)
+def count_roots_in(p: QPoly | SturmChain, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots of p in the half-open interval (lo, hi].
+
+    p is a rational polynomial (dense, ascending) or its `SturmChain`.
+    """
+    chain = p if isinstance(p, SturmChain) else sturm_chain(p)
     if not chain:
         raise ValueError("root counting for the zero polynomial")
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)

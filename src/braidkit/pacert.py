@@ -13,14 +13,30 @@ diagonal is always even.  Parabolic cases are therefore decided exactly
 (polynomial gcd plus Sturm root counting at mu), and the strict
 inequalities are decided on a rational enclosure of mu that is refined
 until the verdict clears the requested margin.
+
+Everything those tests need from the pair is a pure function of it: the
+characteristic polynomial of N N^T, its integer Sturm chain and the
+enclosure of mu at MU_TOLERANCE.  `mu_certificate` computes them once per
+(frozen, hashable) MulticurvePair behind an lru_cache, and `mu_enclosure`,
+`mu` and `classify` all read that one certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .laurent import LaurentPoly, charpoly, count_roots_in, poly_gcd_q, to_qpoly
+from .laurent import (
+    LaurentPoly,
+    QPoly,
+    SturmChain,
+    charpoly,
+    count_roots_in,
+    poly_gcd_q,
+    sturm_chain,
+    to_qpoly,
+)
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -99,6 +115,49 @@ def _gram(pair: MulticurvePair) -> IntMatrix:
     )
 
 
+@dataclass(frozen=True)
+class MuCertificate:
+    """Everything the exact mu tests of one pair share.
+
+    poly is the characteristic polynomial of N N^T, chain its integer Sturm
+    chain, bound an upper bound on its roots, and (lo, hi] an enclosure of
+    mu of width <= MU_TOLERANCE that isolates a single distinct root.
+    """
+
+    poly: QPoly
+    chain: SturmChain
+    bound: Fraction
+    lo: Fraction
+    hi: Fraction
+
+
+@lru_cache(maxsize=None)
+def mu_certificate(pair: MulticurvePair) -> MuCertificate:
+    """Charpoly, Sturm chain and mu enclosure of a pair, computed once."""
+    if all(x == 0 for row in pair.matrix for x in row):
+        raise ValueError("zero intersection matrix has no top eigenvalue")
+    gram = _gram(pair)
+    poly = to_qpoly(charpoly(gram))
+    chain = sturm_chain(poly)
+    bound = Fraction(max(sum(abs(x) for x in row) for row in gram) + 1)
+    lo, hi = _isolate_top_root(chain, bound, MU_TOLERANCE)
+    return MuCertificate(poly, chain, bound, lo, hi)
+
+
+def _isolate_top_root(
+    chain: SturmChain, bound: Fraction, tolerance: Fraction
+) -> tuple[Fraction, Fraction]:
+    lo, hi = Fraction(0), bound
+    # peel off the largest root: shrink from above first
+    while count_roots_in(chain, lo, hi) > 1 or hi - lo > tolerance:
+        mid = (lo + hi) / 2
+        if count_roots_in(chain, mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def mu_enclosure(
     pair: MulticurvePair, tolerance: Fraction = MU_TOLERANCE
 ) -> tuple[Fraction, Fraction]:
@@ -106,22 +165,13 @@ def mu_enclosure(
 
     The interval is bisected until it both meets the width target and
     isolates a single distinct root of the characteristic polynomial, so
-    later exact tests can treat "root in enclosure" as "equals mu".
+    later exact tests can treat "root in enclosure" as "equals mu".  At the
+    default tolerance this is the pair's memoized certificate.
     """
-    if all(x == 0 for row in pair.matrix for x in row):
-        raise ValueError("zero intersection matrix has no top eigenvalue")
-    gram = _gram(pair)
-    coeffs = to_qpoly(charpoly(gram))
-    bound = Fraction(max(sum(abs(x) for x in row) for row in gram) + 1)
-    lo, hi = Fraction(0), bound
-    # peel off the largest root: shrink from above first
-    while count_roots_in(coeffs, lo, hi) > 1 or hi - lo > tolerance:
-        mid = (lo + hi) / 2
-        if count_roots_in(coeffs, mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    cert = mu_certificate(pair)
+    if tolerance == MU_TOLERANCE:
+        return cert.lo, cert.hi
+    return _isolate_top_root(cert.chain, cert.bound, tolerance)
 
 
 def mu(pair: MulticurvePair) -> float:
@@ -230,16 +280,14 @@ def _interval_eval(
     return acc_lo, acc_hi
 
 
-def _vanishes_at_mu(
-    poly: LaurentPoly, pair: MulticurvePair, lo: Fraction, hi: Fraction
-) -> bool:
-    """Exact test of poly(mu) = 0 given an isolating enclosure of mu."""
+def _vanishes_at_mu(poly: LaurentPoly, cert: MuCertificate) -> bool:
+    """Exact test of poly(mu) = 0 on the certificate's isolating enclosure."""
     if poly.is_zero():
         return True
-    common = poly_gcd_q(to_qpoly(poly), to_qpoly(charpoly(_gram(pair))))
+    common = poly_gcd_q(to_qpoly(poly), cert.poly)
     if len(common) <= 1:
         return False
-    return count_roots_in(common, lo, hi) >= 1
+    return count_roots_in(common, cert.lo, cert.hi) >= 1
 
 
 @dataclass(frozen=True)
@@ -261,9 +309,10 @@ def classify(
     verdicts must clear the margin, else MarginError.
     """
     tr = trace_polynomial(word)
-    lo, hi = mu_enclosure(pair)
-    if _vanishes_at_mu(tr - LaurentPoly.constant(2), pair, lo, hi) or (
-        _vanishes_at_mu(tr + LaurentPoly.constant(2), pair, lo, hi)
+    cert = mu_certificate(pair)
+    lo, hi = cert.lo, cert.hi
+    if _vanishes_at_mu(tr - LaurentPoly.constant(2), cert) or (
+        _vanishes_at_mu(tr + LaurentPoly.constant(2), cert)
     ):
         mid = (lo + hi) / 2
         return Classification("parabolic", float(tr.eval(mid)), None)
@@ -280,19 +329,18 @@ def classify(
             if tlo + 2 >= margin and 2 - thi >= margin:
                 return Classification("elliptic", float((tlo + thi) / 2), None)
         # verdict too close to the boundary: refine the mu enclosure
-        lo, hi = _refine(pair, lo, hi)
+        lo, hi = _refine(cert.chain, lo, hi)
     raise MarginError(
         f"trace within {float(margin)} of the parabolic boundary"
     )
 
 
 def _refine(
-    pair: MulticurvePair, lo: Fraction, hi: Fraction
+    chain: SturmChain, lo: Fraction, hi: Fraction
 ) -> tuple[Fraction, Fraction]:
-    coeffs = to_qpoly(charpoly(_gram(pair)))
     for _ in range(40):
         mid = (lo + hi) / 2
-        if count_roots_in(coeffs, mid, hi) >= 1:
+        if count_roots_in(chain, mid, hi) >= 1:
             lo = mid
         else:
             hi = mid

@@ -36,7 +36,7 @@ from .coverlift import (
 from .destab import destabilize_greedy, replay_certificate
 from .invariants import SeifertMatrix, alexander_from_burau, alexander_from_seifert
 from .laurent import LaurentPoly
-from .pacert import chain_pair, classify, mu, parse_twist_word
+from .pacert import MarginError, chain_pair, classify, mu, parse_twist_word
 from .twobridge import cf_to_fraction, crosscheck_w0
 from .braid import format_braid_text
 
@@ -180,7 +180,27 @@ def _family_for(genus: int, power: int, variant: str):
 
 
 def build_record(task: tuple[int, int, str, tuple[str, ...], bool]) -> dict:
-    genus, power, variant, checks, timing = task
+    """One grid point's record; a failing point becomes a status=error record.
+
+    MarginError, and the ValueError family (MoveError, ConventionError,
+    FamilyError), are caught here so one bad point cannot abort the sweep.
+    """
+    genus, power, variant = task[:3]
+    try:
+        return _build_record(*task)
+    except (MarginError, ValueError) as exc:
+        return {
+            "genus": genus,
+            "power": power,
+            "variant": variant,
+            "status": "error",
+            "message": str(exc),
+        }
+
+
+def _build_record(
+    genus: int, power: int, variant: str, checks: tuple[str, ...], timing: bool
+) -> dict:
     started = time.perf_counter()
     family, fixture = _family_for(genus, power, variant)
     word = family.braid
@@ -223,9 +243,11 @@ def build_record(task: tuple[int, int, str, tuple[str, ...], bool]) -> dict:
         record["alexander_seifert"] = roundtrip.to_text()
         holds.append(roundtrip.equals_up_to_units(fibred_poly))
     if "pa" in checks:
-        verdict = classify(parse_twist_word("A B-"), chain_pair(genus))
+        # both read the pair's memoized mu certificate
+        pair = chain_pair(genus)
+        verdict = classify(parse_twist_word("A B-"), pair)
         record["pa_verdict"] = verdict.kind
-        record["pa_mu"] = mu(chain_pair(genus))
+        record["pa_mu"] = mu(pair)
         if verdict.dilatation is not None:
             record["pa_dilatation"] = verdict.dilatation
         holds.append(verdict.kind == "pseudo-anosov")

@@ -13,7 +13,11 @@ from braidkit.checks import (
     exit_code_for,
     run_check,
 )
-from braidkit import cli
+from braidkit import cli, sweep
+from braidkit.braid import FamilyError
+from braidkit.coverlift import ConventionError
+from braidkit.destab import MoveError
+from braidkit.pacert import MarginError
 from braidkit.cli import main
 from braidkit.laurent import LaurentPoly
 from braidkit.report import (
@@ -338,6 +342,45 @@ def test_sweep_embeds_failures_instead_of_dropping():
     records = run_sweep(cfg)
     assert len(records) == 1
     assert records[0]["phi_fixture"] is True
+
+
+@pytest.mark.parametrize(
+    "error", [MarginError, MoveError, ConventionError, FamilyError, ValueError]
+)
+def test_sweep_turns_a_failing_point_into_an_error_record(
+    monkeypatch, tmp_path, error
+):
+    real_classify = sweep.classify
+
+    def classify_failing_at_genus_two(word, pair):
+        if pair.size_a == 2:
+            raise error("injected failure")
+        return real_classify(word, pair)
+
+    monkeypatch.setattr(sweep, "classify", classify_failing_at_genus_two)
+    cfg = SweepConfig(genus=(1, 2, 3), power=(0, 1), checks=("pa",))
+    records = run_sweep(cfg)
+    assert [(r["genus"], r["power"]) for r in records] == [
+        (g, n) for g in (1, 2, 3) for n in (0, 1)
+    ]
+    for record in records:
+        if record["genus"] == 2:
+            assert record == {
+                "genus": 2,
+                "power": record["power"],
+                "variant": "original",
+                "status": "error",
+                "message": "injected failure",
+            }
+        else:
+            assert record["status"] == "verified"
+            assert record["pa_verdict"] == "pseudo-anosov"
+    validate_report(build_report(records))
+    config = tmp_path / "sweep.cfg"
+    config.write_text("genus = 1..3\npower = 0..1\nchecks = pa\n")
+    out = tmp_path / "report.json"
+    assert main(["sweep", "--config", str(config), "--output", str(out)]) == 1
+    assert json.loads(out.read_text())["records"][2]["status"] == "error"
 
 
 # -- CLI -----------------------------------------------------------------

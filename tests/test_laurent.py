@@ -11,6 +11,7 @@ from braidkit.laurent import (
     count_roots_in,
     det_laurent,
     poly_gcd_q,
+    qmul,
     sturm_chain,
 )
 
@@ -242,3 +243,39 @@ def test_count_roots_with_repeated_factor():
     assert count_roots_in(p, F(0), F(2)) == 1
     assert count_roots_in(p, F(-3), F(0)) == 1
     assert count_roots_in(p, F(-3), F(2)) == 2
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+dyadics = st.builds(
+    lambda n, k: Fraction(n, 2**k), st.integers(-64, 64), st.integers(0, 4)
+)
+non_dyadics = st.builds(
+    lambda n, d: Fraction(n, d), st.integers(-60, 60), st.sampled_from((3, 5, 7, 9))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    roots=st.lists(
+        st.tuples(small_rationals, st.integers(1, 3)), min_size=1, max_size=4
+    ),
+    lead=st.fractions(max_denominator=5).filter(lambda c: c != 0),
+    data=st.data(),
+)
+def test_count_roots_matches_factored_oracle(roots, lead, data):
+    # p = lead * prod (t - r)^m has exactly the distinct r as real roots,
+    # so counting them needs no Sturm theory
+    p = (lead,)
+    for r, m in roots:
+        for _ in range(m):
+            p = qmul(p, (-r, Fraction(1)))
+    # endpoints: dyadic, non-dyadic, or exactly on a root (half-open edge)
+    endpoint = st.one_of(
+        dyadics, non_dyadics, st.sampled_from([r for r, _ in roots])
+    )
+    lo, hi = sorted((data.draw(endpoint), data.draw(endpoint)))
+    expected = len({r for r, _ in roots if lo < r <= hi})
+    assert count_roots_in(p, lo, hi) == expected
+    chain = sturm_chain(p)
+    assert all(isinstance(c, int) for row in chain for c in row)
+    assert count_roots_in(chain, lo, hi) == expected

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidkit import pacert
+from braidkit.laurent import charpoly, count_roots_in, to_qpoly
 from braidkit.pacert import (
     CLASSIFY_MARGIN,
     MU_TOLERANCE,
@@ -15,6 +17,7 @@ from braidkit.pacert import (
     classify,
     complement_euler,
     mu,
+    mu_certificate,
     mu_enclosure,
     parse_twist_word,
     trace_polynomial,
@@ -65,6 +68,45 @@ def test_mu_enclosure_is_tight_and_certified():
         2618033988749894848, 10**18
     )  # (3 + sqrt 5)/2 to 18 digits
     assert lo <= golden <= hi + MU_TOLERANCE
+
+
+def test_mu_enclosure_certified_for_genus_1_to_12():
+    for g in range(1, 13):
+        pair = chain_pair(g)
+        lo, hi = mu_enclosure(pair)
+        assert 0 < hi - lo <= MU_TOLERANCE
+        n = pair.matrix
+        gram = [[sum(a * b for a, b in zip(r, s)) for s in n] for r in n]
+        assert count_roots_in(to_qpoly(charpoly(gram)), lo, hi) == 1
+        # the float closed form carries ~1e-15 error; the width is 1e-12
+        expect = 4 * math.cos(math.pi / (2 * g + 1)) ** 2
+        assert float(lo) - 1e-14 <= expect <= float(hi) + 1e-14
+
+
+def test_sweep_computes_mu_once_per_genus(monkeypatch):
+    from braidkit.sweep import SweepConfig, run_sweep
+
+    sizes = []
+
+    def counting_charpoly(matrix):
+        sizes.append(len(matrix))
+        return charpoly(matrix)
+
+    monkeypatch.setattr(pacert, "charpoly", counting_charpoly)
+    mu_certificate.cache_clear()
+    records = run_sweep(
+        SweepConfig(
+            genus=(1, 2),
+            power=(0, 1, 2),
+            variants=("original", "enhanced"),
+            checks=("pa",),
+            parallelism=1,
+        )
+    )
+    assert len(records) == 12
+    assert all(r["status"] == "verified" for r in records)
+    assert sorted(sizes) == [1, 2]
+    assert mu_certificate.cache_info().misses == 2
 
 
 def test_mu_enclosure_custom_tolerance():
