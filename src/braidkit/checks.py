@@ -19,7 +19,6 @@ from typing import Callable
 from .braid import (
     BraidWord,
     FamilySpec,
-    FamilyError,
     VARIANTS,
     enhanced_phi,
     family_braid,
@@ -117,6 +116,21 @@ def _family_word(params: dict) -> tuple[BraidWord, dict]:
     return word, meta
 
 
+# what a check or a sweep point may raise and still yield a record:
+# MarginError, and the ValueError family (CheckParamError, FamilyError,
+# MoveError, ConventionError)
+RECORD_FAILURES = (MarginError, ValueError)
+
+
+def failure_status(exc: Exception) -> str:
+    """Status of a record whose check raised one of RECORD_FAILURES.
+
+    An uncertified margin is a sound certifier giving up, so inconclusive;
+    the rest are malformed requests or failed preconditions, so error.
+    """
+    return "inconclusive" if isinstance(exc, MarginError) else "error"
+
+
 def run_check(name: str, params: dict | None = None) -> dict:
     if name not in REGISTRY:
         raise CheckParamError(
@@ -125,10 +139,8 @@ def run_check(name: str, params: dict | None = None) -> dict:
     params = dict(params or {})
     try:
         record = REGISTRY[name](params)
-    except (CheckParamError, FamilyError, ValueError) as exc:
-        record = {"status": "error", "message": str(exc)}
-    except MarginError as exc:
-        record = {"status": "inconclusive", "message": str(exc)}
+    except RECORD_FAILURES as exc:
+        record = {"status": failure_status(exc), "message": str(exc)}
     record["check"] = name
     return record
 

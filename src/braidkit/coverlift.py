@@ -10,8 +10,9 @@ polynomials of such lifts are the Alexander polynomials of the fibred
 links the words describe, and the Seifert form can be recovered from the
 monodromy matrix by a linear solve.
 
-All matrices here are tuples of tuples of Python ints (or Fractions in
-the solver internals); sizes stay small, so exactness beats vectorization.
+All matrices here are tuples of tuples of Python ints, and the Seifert
+solve stays in the integers too (fraction-free Gauss-Jordan, no
+Fractions); sizes stay small, so exactness beats vectorization.
 A transvection touches one row, so the lift updates that row per letter;
 the product of `transvection` matrices is the reference it is tested
 against.  Alexander-module invariant factors use the rational-polynomial
@@ -206,65 +207,53 @@ def branched_cover_euler(base_chi: int, branch_points: int) -> BranchedCoverData
     return BranchedCoverData(base_chi, branch_points, chi, boundary, genus)
 
 
-def _fraction_matrix(matrix: IntMatrix) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in matrix]
-
-
-def _solve_right(a: list[list[Fraction]], rhs: list[list[Fraction]]):
-    """Solve X * a = rhs by Gaussian elimination on the transposed system."""
-    size = len(a)
-    # X a = rhs  <=>  a^T X^T = rhs^T
-    at = [[a[r][c] for r in range(size)] for c in range(size)]
-    bt = [[rhs[r][c] for r in range(size)] for c in range(size)]
-    for col in range(size):
-        pivot = next(
-            (r for r in range(col, size) if at[r][col] != 0), None
-        )
-        if pivot is None:
-            return None
-        at[col], at[pivot] = at[pivot], at[col]
-        bt[col], bt[pivot] = bt[pivot], bt[col]
-        inv = 1 / at[col][col]
-        at[col] = [x * inv for x in at[col]]
-        bt[col] = [x * inv for x in bt[col]]
-        for r in range(size):
-            if r != col and at[r][col] != 0:
-                f = at[r][col]
-                at[r] = [x - f * y for x, y in zip(at[r], at[col])]
-                bt[r] = [x - f * y for x, y in zip(bt[r], bt[col])]
-    # rows of the reduced bt are columns of X
-    return [[bt[c][r] for c in range(size)] for r in range(size)]
-
-
 def seifert_from_monodromy(matrix: IntMatrix, surface: ChainSurface) -> IntMatrix:
     """Integer S with S^T = S*M and S - S^T = -J, from S(I - M) = -J.
 
     det(S - t S^T) then agrees with the characteristic polynomial of M up
     to units.  Requires det(M - I) != 0; a non-integral solution means the
     matrix did not come from this convention and is reported as an error.
+
+    S(I - M) = -J is solved as (I - M)^T S^T = -J^T by fraction-free
+    Gauss-Jordan on the augmented rows [(I - M)^T | -J^T]: the Bareiss
+    update goes to every row but the pivot's, so each step divides exactly
+    by the previous pivot.  The left block ends as d*I, d = +-det(I - M),
+    and S^T is the right block divided by d, entry by entry.
     """
     size = surface.rank
     if len(matrix) != size:
         raise ValueError("matrix size does not match surface rank")
     form = surface.intersection_form()
-    i_minus_m = [
-        [Fraction(int(r == c) - matrix[r][c]) for c in range(size)]
-        for r in range(size)
+    # row c is column c of I - M, then column c of -J
+    rows = [
+        [int(r == c) - matrix[r][c] for r in range(size)]
+        + [-form[r][c] for r in range(size)]
+        for c in range(size)
     ]
-    rhs = [[-Fraction(x) for x in row] for row in _fraction_matrix(form)]
-    solved = _solve_right(i_minus_m, rhs)
-    if solved is None:
-        raise ValueError("monodromy has 1 as an eigenvalue; no Seifert solve")
+    prev = 1
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot_row is None:
+            raise ValueError("monodromy has 1 as an eigenvalue; no Seifert solve")
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        top = rows[col]
+        pivot = top[col]
+        for r in range(size):
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [(pivot * x - f * y) // prev for x, y in zip(rows[r], top)]
+        prev = pivot
     out = []
-    for row in solved:
-        out_row = []
-        for x in row:
-            if x.denominator != 1:
+    for c in range(size):
+        row = []
+        for r in range(size):
+            q, rem = divmod(rows[r][size + c], rows[r][r])
+            if rem:
                 raise ConventionError(
                     "Seifert solve is non-integral; convention mismatch"
                 )
-            out_row.append(int(x))
-        out.append(tuple(out_row))
+            row.append(q)
+        out.append(tuple(row))
     return tuple(out)
 
 

@@ -203,7 +203,7 @@ def alexander_from_seifert(matrix: SeifertMatrix) -> LaurentPoly:
     s = matrix.entries
     entries = [
         [
-            LaurentPoly.constant(s[i][j]) - _T * LaurentPoly.constant(s[j][i])
+            LaurentPoly(0, (s[i][j], -s[j][i]))
             for j in range(size)
         ]
         for i in range(size)

@@ -6,11 +6,26 @@ integers; nothing here ever touches floating point.  The module also provides
 exact determinants of Laurent polynomial matrices, which is what the Burau
 and Seifert pipelines reduce to.
 
-Determinants use Kronecker substitution: every entry is evaluated at t = 2**B
-for a B sound against a minor-coefficient bound, the resulting integer matrix
-is eliminated fraction-free (Bareiss), and the determinant polynomial is read
-back off the final integer in balanced base-2**B digits.  This keeps the hot
-loop inside CPython's big-integer multiply instead of per-coefficient Python.
+Determinants use Kronecker substitution: every entry is evaluated at t = 2**B,
+the resulting integer matrix is eliminated fraction-free (Bareiss), and the
+determinant polynomial is read back off the final integer in balanced
+base-2**B digits.  This keeps the hot loop inside CPython's big-integer
+multiply instead of per-coefficient Python.
+
+Only the final determinant is unpacked (the Bareiss intermediates are exact
+integers whatever B is), so B has to cover its coefficients alone, and it
+is sized from the smaller of two bounds on them, both sound:
+
+- each of the n! Leibniz terms is a product of n entries with coefficients
+  at most c_max and at most terms_max terms, so a coefficient is at most
+  n! * c_max**n * terms_max**(n-1);
+- the l1 norm of a product is at most the product of the l1 norms, and
+  multiplying out prod_i sum_j |a_ij|_1 gives every Leibniz term's bound
+  and more, so it bounds the determinant's l1 norm, hence each coefficient.
+
+The first is smaller for long polynomials (Burau matrices), the second for
+integer pencils with a few large rows (characteristic polynomials and
+Seifert determinants).
 
 It also holds the rational polynomial arithmetic (dense ascending Fraction
 tuples: trim, add, negate, multiply, divmod, monic, and conversion from a
@@ -340,15 +355,19 @@ def det_laurent(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     c_max = 1
     terms_max = 1
     deg_max = 0
+    row_l1 = 1
     for row in matrix:
+        l1 = 0
         for p in row:
             if p.is_zero():
                 continue
             c_max = max(c_max, max(abs(c) for c in p.coeffs))
             terms_max = max(terms_max, len(p.coeffs))
             deg_max = max(deg_max, p.degree - shift)
-    # any k x k minor coefficient is bounded by n! * c_max**n * terms_max**(n-1)
-    bound = factorial(n) * c_max**n * terms_max ** (n - 1)
+            l1 += sum(abs(c) for c in p.coeffs)
+        row_l1 *= l1
+    # both bound every coefficient of the determinant; see the module notes
+    bound = min(factorial(n) * c_max**n * terms_max ** (n - 1), row_l1)
     bits = bound.bit_length() + 2
     packed = [
         [_pack(_aligned(p, shift, deg_max), bits) for p in row]

@@ -25,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .braid import VARIANTS, FamilySpec, build_family, default_phi_extension
+from .checks import RECORD_FAILURES, failure_status
 from .coverlift import (
     ChainSurface,
     branched_cover_euler,
@@ -36,7 +37,7 @@ from .coverlift import (
 from .destab import destabilize_greedy, replay_certificate
 from .invariants import SeifertMatrix, alexander_from_burau, alexander_from_seifert
 from .laurent import LaurentPoly
-from .pacert import MarginError, chain_pair, classify, mu, parse_twist_word
+from .pacert import chain_pair, classify, mu, parse_twist_word
 from .twobridge import cf_to_fraction, crosscheck_w0
 from .braid import format_braid_text
 
@@ -180,20 +181,21 @@ def _family_for(genus: int, power: int, variant: str):
 
 
 def build_record(task: tuple[int, int, str, tuple[str, ...], bool]) -> dict:
-    """One grid point's record; a failing point becomes a status=error record.
+    """One grid point's record; a failing point becomes a status-only record.
 
-    MarginError, and the ValueError family (MoveError, ConventionError,
-    FamilyError), are caught here so one bad point cannot abort the sweep.
+    The exceptions `run_check` turns into records are caught here too, with
+    the same statuses, so one bad point cannot abort the sweep and a point
+    gets the verdict `braidkit check` gives it.
     """
     genus, power, variant = task[:3]
     try:
         return _build_record(*task)
-    except (MarginError, ValueError) as exc:
+    except RECORD_FAILURES as exc:
         return {
             "genus": genus,
             "power": power,
             "variant": variant,
-            "status": "error",
+            "status": failure_status(exc),
             "message": str(exc),
         }
 

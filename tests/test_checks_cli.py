@@ -13,7 +13,7 @@ from braidkit.checks import (
     exit_code_for,
     run_check,
 )
-from braidkit import cli, sweep
+from braidkit import checks, cli, sweep
 from braidkit.braid import FamilyError
 from braidkit.coverlift import ConventionError
 from braidkit.destab import MoveError
@@ -329,6 +329,25 @@ def test_sweep_canonical_bytes_are_pinned():
     )
 
 
+def test_fibred_sweep_canonical_bytes_are_pinned():
+    # the fibred group over genus 2..10, power 0..10: 20x20 big-integer
+    # lifts, Seifert solves and determinants; digest taken before the
+    # integer Seifert solve and the row-l1 determinant bound
+    cfg = SweepConfig(
+        genus=tuple(range(2, 11)), power=tuple(range(11)), checks=("fibred",)
+    )
+    records = run_sweep(cfg)
+    assert len(records) == 99
+    assert all(r["status"] == "verified" for r in records)
+    digest = hashlib.sha256(
+        canonical_json(build_report(records)).encode("utf-8")
+    ).hexdigest()
+    assert (
+        digest
+        == "964ee191a81bc6f9523f5747e3e48d6f425eb6f3bb216d51776d40a5e67a2909"
+    )
+
+
 def test_sweep_embeds_failures_instead_of_dropping():
     # enhanced at genus 3 without a fixture cannot be built; the sweep
     # fixture fills it in, so flag presence is the observable
@@ -344,12 +363,7 @@ def test_sweep_embeds_failures_instead_of_dropping():
     assert records[0]["phi_fixture"] is True
 
 
-@pytest.mark.parametrize(
-    "error", [MarginError, MoveError, ConventionError, FamilyError, ValueError]
-)
-def test_sweep_turns_a_failing_point_into_an_error_record(
-    monkeypatch, tmp_path, error
-):
+def _fail_classify_at_genus_two(monkeypatch, error):
     real_classify = sweep.classify
 
     def classify_failing_at_genus_two(word, pair):
@@ -358,6 +372,15 @@ def test_sweep_turns_a_failing_point_into_an_error_record(
         return real_classify(word, pair)
 
     monkeypatch.setattr(sweep, "classify", classify_failing_at_genus_two)
+
+
+@pytest.mark.parametrize(
+    "error", [MoveError, ConventionError, FamilyError, ValueError]
+)
+def test_sweep_turns_a_failing_point_into_an_error_record(
+    monkeypatch, tmp_path, error
+):
+    _fail_classify_at_genus_two(monkeypatch, error)
     cfg = SweepConfig(genus=(1, 2, 3), power=(0, 1), checks=("pa",))
     records = run_sweep(cfg)
     assert [(r["genus"], r["power"]) for r in records] == [
@@ -381,6 +404,37 @@ def test_sweep_turns_a_failing_point_into_an_error_record(
     out = tmp_path / "report.json"
     assert main(["sweep", "--config", str(config), "--output", str(out)]) == 1
     assert json.loads(out.read_text())["records"][2]["status"] == "error"
+
+
+def test_sweep_turns_a_margin_failure_into_an_inconclusive_record(
+    monkeypatch, tmp_path
+):
+    # an uncertified margin is the certifier giving up, as in `check pa`
+    _fail_classify_at_genus_two(monkeypatch, MarginError)
+    records = run_sweep(SweepConfig(genus=(1, 2), power=(0,), checks=("pa",)))
+    assert records[1] == {
+        "genus": 2,
+        "power": 0,
+        "variant": "original",
+        "status": "inconclusive",
+        "message": "injected failure",
+    }
+    assert records[0]["status"] == "verified"
+    validate_report(build_report(records))
+    config = tmp_path / "sweep.cfg"
+    config.write_text("genus = 1..2\npower = 0\nchecks = pa\n")
+    assert main(["sweep", "--config", str(config)]) == 2
+
+
+def test_check_and_sweep_give_a_margin_failure_the_same_status(monkeypatch):
+    def margin_failure(word, pair):
+        raise MarginError("injected failure")
+
+    monkeypatch.setattr(checks, "classify", margin_failure)
+    monkeypatch.setattr(sweep, "classify", margin_failure)
+    checked = run_check("pa", {"genus": 2})
+    (swept,) = run_sweep(SweepConfig(genus=(2,), power=(0,), checks=("pa",)))
+    assert checked["status"] == swept["status"] == "inconclusive"
 
 
 # -- CLI -----------------------------------------------------------------

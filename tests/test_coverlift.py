@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from braidkit.braid import BraidWord, FamilySpec, family_braid
 from braidkit.coverlift import (
     ChainSurface,
+    ConventionError,
     alexander_module_invariants,
     branched_cover_euler,
     charpoly_int,
@@ -232,6 +233,95 @@ def test_seifert_solve_round_trips_charpoly():
 def test_seifert_solve_rejects_unit_eigenvalue():
     with pytest.raises(ValueError):
         seifert_from_monodromy(mat_identity(2), ChainSurface(1))
+
+
+def test_seifert_solve_rejects_a_two_component_link():
+    # the closure of s1^2 s2 has two components; its monodromy solve is
+    # non-integral under the knot convention
+    s = ChainSurface(1)
+    m = lift_homological(BraidWord(3, (1, 1, 2)), s)
+    with pytest.raises(ConventionError):
+        seifert_from_monodromy(m, s)
+
+
+def _solve_right(a, rhs):
+    """Solve X * a = rhs over the rationals by Gauss-Jordan elimination.
+
+    The reference for the fraction-free solve: it eliminates the
+    transposed system a^T X^T = rhs^T and returns None when a is singular.
+    """
+    size = len(a)
+    at = [[Fraction(a[r][c]) for r in range(size)] for c in range(size)]
+    bt = [[Fraction(rhs[r][c]) for r in range(size)] for c in range(size)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if at[r][col] != 0), None)
+        if pivot is None:
+            return None
+        at[col], at[pivot] = at[pivot], at[col]
+        bt[col], bt[pivot] = bt[pivot], bt[col]
+        inv = 1 / at[col][col]
+        at[col] = [x * inv for x in at[col]]
+        bt[col] = [x * inv for x in bt[col]]
+        for r in range(size):
+            if r != col and at[r][col] != 0:
+                f = at[r][col]
+                at[r] = [x - f * y for x, y in zip(at[r], at[col])]
+                bt[r] = [x - f * y for x, y in zip(bt[r], bt[col])]
+    # rows of the reduced bt are columns of X
+    return [[bt[c][r] for c in range(size)] for r in range(size)]
+
+
+@st.composite
+def one_letter_each_words(draw, genus, max_squares=12):
+    """Each generator once, any order and signs, with squares inserted.
+
+    The permutation is then a (2g+1)-cycle, so the closure is a knot and
+    the solve is more often integral than for a uniform random word.
+    """
+    n = 2 * genus + 1
+    letters = [
+        i * draw(st.sampled_from([1, -1]))
+        for i in draw(st.permutations(range(1, n)))
+    ]
+    for _ in range(draw(st.integers(0, max_squares))):
+        i = draw(st.integers(1, n - 1)) * draw(st.sampled_from([1, -1]))
+        at = draw(st.integers(0, len(letters)))
+        letters[at:at] = [i, i]
+    return BraidWord(n, tuple(letters))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda g: st.tuples(
+            st.just(g),
+            st.one_of(small_words(genus=g, max_len=40), one_letter_each_words(g)),
+        )
+    )
+)
+def test_seifert_solve_matches_the_rational_oracle(case):
+    genus, word = case
+    surface = ChainSurface(genus)
+    m = lift_homological(word, surface)
+    k = surface.rank
+    j = surface.intersection_form()
+    i_minus_m = [[int(r == c) - m[r][c] for c in range(k)] for r in range(k)]
+    expected = _solve_right(i_minus_m, [[-x for x in row] for row in j])
+    if expected is None:
+        with pytest.raises(ValueError, match="eigenvalue"):
+            seifert_from_monodromy(m, surface)
+        return
+    if any(x.denominator != 1 for row in expected for x in row):
+        with pytest.raises(ConventionError):
+            seifert_from_monodromy(m, surface)
+        return
+    v = seifert_from_monodromy(m, surface)
+    assert v == tuple(tuple(int(x) for x in row) for row in expected)
+    vt = mat_transpose(v)
+    assert all(
+        v[r][c] - vt[r][c] == -j[r][c] for r in range(k) for c in range(k)
+    )
+    assert mat_mul(v, m) == vt
 
 
 # -- Alexander module ----------------------------------------------------

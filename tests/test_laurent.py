@@ -175,6 +175,108 @@ def test_det_matches_cofactor_expansion(m):
     assert det_laurent(m) == _cofactor_det(m)
 
 
+# the Kronecker slot is sized from min(n! c^n T^(n-1), prod of row l1
+# norms); these cases make the row-l1 bound the smaller one
+_unit = st.integers(-1, 1)
+_huge = st.integers(-(2**60), 2**60)
+
+
+def _pencil(a, b):
+    return LaurentPoly(0, (a, b))
+
+
+@st.composite
+def skewed_pencils(draw):
+    """n x n integer pencils, one row with 60-bit entries, the rest units."""
+    n = draw(st.integers(1, 6))
+    big = draw(st.integers(0, n - 1))
+    return [
+        [
+            _pencil(draw(_huge), draw(_huge))
+            if i == big
+            else _pencil(draw(_unit), draw(_unit))
+            for _ in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(skewed_pencils())
+def test_det_of_skewed_pencils_matches_cofactor_expansion(m):
+    assert det_laurent(m) == _cofactor_det(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.permutations(range(6)).flatmap(
+        lambda perm: st.tuples(
+            st.just(perm),
+            st.lists(
+                st.integers(1, 2**40).flatmap(
+                    lambda c: st.sampled_from([c, -c])
+                ),
+                min_size=6,
+                max_size=6,
+            ),
+            st.lists(st.integers(-5, 3), min_size=6, max_size=6),
+        )
+    )
+)
+def test_det_of_monomial_matrices_meets_the_bound(case):
+    # one nonzero monomial per row and column: the determinant is a single
+    # monomial whose coefficient equals the product of row l1 norms
+    perm, coeffs, exps = case
+    n = len(perm)
+    m = [
+        [
+            LaurentPoly.monomial(exps[i], coeffs[i])
+            if j == perm[i]
+            else LaurentPoly.zero()
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    det = det_laurent(m)
+    assert det == _cofactor_det(m)
+    bound = 1
+    for c in coeffs:
+        bound *= abs(c)
+    assert det.coeffs in ((bound,), (-bound,))
+    assert det.offset == sum(exps)
+
+
+def test_det_near_the_row_l1_bound():
+    # a row bound taken from one coefficient per entry, or from one entry
+    # per row, would be too narrow for these determinants
+    lift = (LaurentPoly.one() + LaurentPoly.t()) ** 10
+    diagonal = [
+        [lift if i == j else LaurentPoly.zero() for j in range(3)]
+        for i in range(3)
+    ]
+    assert det_laurent(diagonal) == lift**3
+    # rows of +-1 with |det| = 8**4 (Hadamard's equality), one row scaled
+    h = [[(-1) ** bin(i & j).count("1") for j in range(8)] for i in range(8)]
+    m = [[LaurentPoly.constant(x) for x in row] for row in h]
+    m[0] = [lift * entry for entry in m[0]]
+    expected = LaurentPoly.constant(8**4) * lift
+    assert det_laurent(m) in (expected, -expected)
+
+
+def test_det_with_a_zero_row():
+    big = LaurentPoly(-2, (2**50, -(2**50), 7))
+    m = [
+        [big, LaurentPoly.t(), big],
+        [LaurentPoly.zero()] * 3,
+        [LaurentPoly.one(), big, big],
+    ]
+    assert det_laurent(m).is_zero()
+    assert _cofactor_det(m).is_zero()
+    for k in range(3):
+        rotated = m[k:] + m[:k]
+        assert det_laurent(rotated).is_zero()
+
+
 def test_charpoly_known_matrices():
     assert charpoly([[0, 1], [1, 1]]).to_text() == "0|-1 -1 1"
     assert charpoly([[1, 0], [0, 1]]).to_text() == "0|1 -2 1"
