@@ -140,12 +140,13 @@ def _open_output(path: str | None):
     """Stream for a report: the file at path, or stdout when path is empty.
 
     Returns None, after printing the reason, when the file cannot be opened.
+    A NUL byte in the path, which a config file can hold, is a ValueError.
     """
     if not path:
         return sys.stdout
     try:
         return open(path, "w", encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
 
@@ -172,7 +173,7 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except ConfigError as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     # open the output before the compute, so a bad path fails fast
@@ -202,7 +203,7 @@ def _cmd_emit(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (json.JSONDecodeError, ReportFormatError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, ReportFormatError) as exc:
         print(f"report error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     handle = _open_output(args.output)

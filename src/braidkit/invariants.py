@@ -6,6 +6,19 @@ closure, det(rho(w) - I) equals the Alexander polynomial times
 1 + t + ... + t^(n-1) up to a unit, and the quotient is carried out by
 exact division.
 
+The product is evaluated at t = 2**B, one integer per entry (Kronecker
+substitution).  A letter's matrix differs from the identity in one column,
+so each letter updates that column of every row with one shift and two
+additions.  The slot width B comes first, from the same recurrence on the
+absolute-value matrices at t = 1: since the l1 norm is subadditive and
+submultiplicative, each entry of that product bounds the l1 norm, hence
+every coefficient, of the matching Burau entry.  With N negative letters,
+every partial-product entry e has exponents >= -N, so t**N * e is a
+polynomial and its value at 2**B an integer.  A negative letter divides a
+difference of such values by 2**B; the quotient t**N times the new entry
+is again a polynomial, so the shift is exact, not a floor.  Each entry is
+unpacked once, at offset -N, by `LaurentPoly.from_packed`.
+
 Pipeline two: the Bennequin surface.  A braid word with sign-pure columns
 (every occurrence of an index has one sign) bounds a surface made of n
 disks and one band per letter.  First homology has one generator per brick,
@@ -28,10 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braid import BraidWord, closure_components
-from .laurent import LaurentPoly, charpoly, det_laurent
+from .laurent import LaurentPoly, charpoly, det_laurent, slot_bits
 
-_T = LaurentPoly.t()
-_TINV = LaurentPoly.monomial(-1)
 _ONE = LaurentPoly.one()
 
 LaurentMatrix = list[list[LaurentPoly]]
@@ -59,43 +70,38 @@ def laurent_mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     return out
 
 
-def _apply_letter(m: LaurentMatrix, letter: int) -> None:
-    """Right-multiply m in place by the reduced Burau matrix of one letter.
-
-    The letter matrix differs from the identity in a single column, so only
-    that column of the product changes.
-    """
-    size = len(m)
-    c = abs(letter) - 1
-    if letter > 0:
-        for row in m:
-            new = -(_T * row[c])
-            if c > 0:
-                new = new + _T * row[c - 1]
-            if c + 1 < size:
-                new = new + row[c + 1]
-            row[c] = new
-    else:
-        for row in m:
-            new = -(_TINV * row[c])
-            if c > 0:
-                new = new + row[c - 1]
-            if c + 1 < size:
-                new = new + _TINV * row[c + 1]
-            row[c] = new
-
-
 def reduced_burau(word: BraidWord) -> LaurentMatrix:
     """Reduced Burau matrix of a braid word; left-to-right homomorphism.
 
-    On two strands sigma_1 maps to the 1 x 1 matrix (-t).
+    On two strands sigma_1 maps to the 1 x 1 matrix (-t).  The product is
+    evaluated at t = 2**B; see the module notes.
     """
-    if word.strands < 2:
+    n = word.strands
+    if n < 2:
         return []
-    m = laurent_identity(word.strands - 1)
+    # rows padded with a zero column at each end, so letter k updates
+    # column k from columns k - 1 and k + 1 with no edge cases
+    bound = [[int(i == j) for j in range(n + 1)] for i in range(1, n)]
     for x in word.letters:
-        _apply_letter(m, x)
-    return m
+        k = abs(x)
+        for row in bound:
+            row[k] += row[k - 1] + row[k + 1]
+    bits = slot_bits(max(max(row) for row in bound))
+    neg = sum(1 for x in word.letters if x < 0)
+    m = [[int(i == j) << (bits * neg) for j in range(n + 1)] for i in range(1, n)]
+    for x in word.letters:
+        k = abs(x)
+        if x > 0:
+            for row in m:
+                row[k] = ((row[k - 1] - row[k]) << bits) + row[k + 1]
+        else:
+            # the shift is exact, not floor: with q = t**neg * entry, the new
+            # q[k] - q[k-1] is (q[k+1] - q[k]) / t, and every entry keeps
+            # exponents >= -neg, so q[k+1] - q[k] is t times a polynomial and
+            # its value at 2**bits a multiple of 2**bits
+            for row in m:
+                row[k] = ((row[k + 1] - row[k]) >> bits) + row[k - 1]
+    return [[LaurentPoly.from_packed(v, bits, -neg) for v in row[1:n]] for row in m]
 
 
 def alexander_from_burau(word: BraidWord) -> LaurentPoly:

@@ -27,6 +27,15 @@ The first is smaller for long polynomials (Burau matrices), the second for
 integer pencils with a few large rows (characteristic polynomials and
 Seifert determinants).
 
+The packing lives here alone.  `slot_bits(bound)` is the slot width whose
+balanced digits, in [-2**(B-1), 2**(B-1)), hold every integer of size at
+most bound; `LaurentPoly.from_packed(value, bits, offset)` reads a packed
+value back, which is how the Burau product of `invariants` is unpacked.
+`_unpack` splits in halves: the low h digits of a value are its residue mod
+2**(h*B) moved into the balanced range, the rest is the exact quotient, and
+both halves recurse, so a value of k digits costs O(k B log k) bit
+operations rather than the O(k**2 B) of peeling one digit at a time.
+
 It also holds the rational polynomial arithmetic (dense ascending Fraction
 tuples: trim, add, negate, multiply, divmod, monic, and conversion from a
 LaurentPoly) on which the rational gcd, Sturm root counting, the mu tests
@@ -94,6 +103,15 @@ class LaurentPoly:
     def from_coeffs(coeffs, offset: int = 0) -> "LaurentPoly":
         return LaurentPoly(offset, tuple(int(c) for c in coeffs))
 
+    @staticmethod
+    def from_packed(value: int, bits: int, offset: int = 0) -> "LaurentPoly":
+        """The polynomial p with t**-offset * p equal to value at t = 2**bits.
+
+        Its coefficients must be balanced base-2**bits digits, which holds
+        when bits = slot_bits(bound) and bound caps their absolute values.
+        """
+        return LaurentPoly(offset, tuple(_unpack(value, bits)))
+
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -159,7 +177,7 @@ class LaurentPoly:
             * max(abs(c) for c in other.coeffs)
             * min(len(self.coeffs), len(other.coeffs))
         )
-        bits = bound.bit_length() + 2
+        bits = slot_bits(bound)
         prod = _pack(self.coeffs, bits) * _pack(other.coeffs, bits)
         out = _unpack(prod, bits)
         return LaurentPoly(self.offset + other.offset, tuple(out))
@@ -305,15 +323,38 @@ def _pack(coeffs, bits: int) -> int:
     return acc
 
 
+def slot_bits(bound: int) -> int:
+    """Slot width whose balanced digits hold every integer of size <= bound."""
+    return bound.bit_length() + 2
+
+
 def _unpack(value: int, bits: int) -> list[int]:
-    half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    out = []
-    while value:
-        d = ((value + half) & mask) - half
-        out.append(d)
-        value = (value - d) >> bits
-    return out
+    """Balanced base-2**bits digits of value, lowest first, no top zeros."""
+    digits = _split(value, bits, value.bit_length() // bits + 1)
+    while digits and not digits[-1]:
+        digits.pop()
+    return digits
+
+
+def _split(value: int, bits: int, count: int) -> list[int]:
+    # value has count balanced digits; the low h of them sum to the residue
+    # of value mod 2**(h*bits) in [-2**(h*bits-1), 2**(h*bits-1)).  A few
+    # digits are cheaper peeled one at a time than split.
+    if count <= 8:
+        half = 1 << (bits - 1)
+        mask = (1 << bits) - 1
+        out = []
+        for _ in range(count):
+            d = ((value + half) & mask) - half
+            out.append(d)
+            value = (value - d) >> bits
+        return out
+    h = count // 2
+    width = h * bits
+    low = value & ((1 << width) - 1)
+    if low >> (width - 1):
+        low -= 1 << width
+    return _split(low, bits, h) + _split((value - low) >> width, bits, count - h)
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -368,7 +409,7 @@ def det_laurent(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
         row_l1 *= l1
     # both bound every coefficient of the determinant; see the module notes
     bound = min(factorial(n) * c_max**n * terms_max ** (n - 1), row_l1)
-    bits = bound.bit_length() + 2
+    bits = slot_bits(bound)
     packed = [
         [_pack(_aligned(p, shift, deg_max), bits) for p in row]
         for row in matrix

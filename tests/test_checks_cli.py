@@ -5,6 +5,7 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from braidkit.checks import (
     CheckParamError,
@@ -555,3 +556,84 @@ def test_cli_emit_rejects_malformed(tmp_path, capsys):
     bad.write_text("{}")
     assert main(["emit", "--input", str(bad)]) == 1
     assert "report error" in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    config = tmp_path / "binary.cfg"
+    config.write_bytes(b"\xff\xfe")
+    assert main(["sweep", "--config", str(config)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_emit_rejects_a_report_that_is_not_utf8(tmp_path, capsys):
+    report = tmp_path / "binary.json"
+    report.write_bytes(b"\xff\xfe")
+    assert main(["emit", "--input", str(report)]) == 1
+    assert "report error" in capsys.readouterr().err
+
+
+def test_cli_sweep_output_path_with_a_nul_byte(tmp_path, capsys):
+    config = tmp_path / "nul.cfg"
+    config.write_text("genus = 1\npower = 0\nchecks = unknot\noutput = a\0b\n")
+    assert main(["sweep", "--config", str(config)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+# config text for the CLI fuzz: every grid stays within genus 1..2 and
+# power 0..1, and every output path within the test's directory
+_GOOD_VALUES = {
+    "genus": ["1", "2", "1..2", "2, 1"],
+    "power": ["0", "1", "0..1"],
+    "variant": ["original", "enhanced", "original, enhanced"],
+    "checks": ["unknot", "alexander", "fibred", "pa", "twobridge, fibre-genus"],
+    "format": ["json", "csv", "table"],
+    "parallelism": ["1"],
+    "timing": ["on", "off"],
+    "output": ["report.json", ""],
+}
+_BAD_VALUES = {
+    "genus": ["2..1", "0", "-1", "x", "", "1..", "1.5"],
+    "power": ["1..0", "-1", "y", "", "0.."],
+    "variant": ["bogus", ""],
+    "checks": ["nope", ""],
+    "format": ["xml"],
+    "parallelism": ["0", "-2", "x", "1.0"],
+    "timing": ["maybe"],
+    "output": ["missing/x.json", "a\0b"],
+    "colour": ["blue"],
+}
+
+
+def _lines(values):
+    return st.sampled_from(sorted(values)).flatmap(
+        lambda key: st.sampled_from(values[key]).map(lambda v: f"{key} = {v}")
+    )
+
+
+@st.composite
+def config_texts(draw):
+    """Mostly valid configs, with bad entries, unknown keys and stray text."""
+    lines = [
+        f"{key} = {draw(st.sampled_from(values))}"
+        for key, values in _GOOD_VALUES.items()
+        if key in ("genus", "power") or draw(st.booleans())
+    ]
+    lines += draw(st.lists(_lines(_BAD_VALUES), max_size=2))
+    lines += draw(st.lists(st.text(max_size=20), max_size=2))
+    return "\n".join(draw(st.permutations(lines))).encode()
+
+
+_config_bytes = st.one_of(config_texts(), st.binary(max_size=40))
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_config_bytes)
+def test_cli_sweep_fuzz_exits_cleanly(tmp_path, monkeypatch, data):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "fuzz.cfg"
+    config.write_bytes(data)
+    assert main(["sweep", "--config", str(config)]) in (0, 1, 2)

@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from braidkit.laurent import (
     LaurentPoly,
+    _pack,
+    _unpack,
     charpoly,
     count_roots_in,
     det_laurent,
     poly_gcd_q,
     qmul,
+    slot_bits,
     sturm_chain,
 )
 
@@ -304,6 +307,58 @@ def test_charpoly_evaluates_to_det(m):
             for i in range(3)
         ]
         assert p.eval_int(x) == det_laurent(shifted).eval_int(0)
+
+
+# -- Kronecker packing ---------------------------------------------------
+
+
+@st.composite
+def balanced_digits(draw):
+    """A slot width and digits of size at most 2**(bits - 1) - 1."""
+    bits = draw(st.integers(2, 80))
+    top = (1 << (bits - 1)) - 1
+    digit = st.one_of(
+        st.sampled_from([0, 1, -1, top, -top]), st.integers(-top, top)
+    )
+    # up to 40 digits, so the halving split recurses several levels
+    return bits, draw(st.lists(digit, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(balanced_digits(), st.integers(-50, 50))
+def test_packing_round_trips(case, offset):
+    bits, digits = case
+    value = sum(d << (bits * i) for i, d in enumerate(digits))
+    assert value == _pack(digits, bits)
+    assert LaurentPoly.from_packed(value, bits, offset) == LaurentPoly(
+        offset, tuple(digits)
+    )
+
+
+@pytest.mark.parametrize("bits", [2, 3, 7, 8, 64, 80])
+def test_packing_extreme_digits(bits):
+    top = (1 << (bits - 1)) - 1
+    assert LaurentPoly.from_packed(0, bits, -3).is_zero()
+    for count in (1, 2, 9, 17, 33):
+        for digits in (
+            [top] * count,
+            [-top] * count,
+            [top, -top] * count,
+            [0] * count + [-1],  # negative top coefficient, zeros below
+            [1] + [0] * count + [-top],
+        ):
+            value = _pack(digits, bits)
+            assert _unpack(value, bits) == digits
+            poly = LaurentPoly.from_packed(value, bits, -count)
+            assert poly == LaurentPoly(-count, tuple(digits))
+
+
+@given(st.integers(0, 2**200))
+def test_slot_bits_holds_the_bound(bound):
+    bits = slot_bits(bound)
+    digits = [bound, -bound, 0, bound, -bound] * 3
+    value = _pack(digits, bits)
+    assert LaurentPoly.from_packed(value, bits) == LaurentPoly(0, tuple(digits))
 
 
 # -- rational gcd and root counting --------------------------------------
