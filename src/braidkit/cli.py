@@ -26,14 +26,13 @@ from .checks import (
     run_check,
 )
 from .report import (
-    ReportFormatError,
     build_report,
     emit_csv,
     emit_json,
     emit_table,
     validate_report,
 )
-from .sweep import ConfigError, parse_config, run_sweep
+from .sweep import parse_config, run_sweep
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -173,7 +172,8 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ConfigError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
+        # ConfigError, a config that is not UTF-8, or a NUL byte in its path
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     # open the output before the compute, so a bad path fails fast
@@ -203,7 +203,9 @@ def _cmd_emit(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (json.JSONDecodeError, UnicodeDecodeError, ReportFormatError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON (nested too deep for the decoder included), a bad report,
+        # bytes that are not UTF-8, or a NUL byte in the path
         print(f"report error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     handle = _open_output(args.output)

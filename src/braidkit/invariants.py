@@ -17,7 +17,8 @@ every partial-product entry e has exponents >= -N, so t**N * e is a
 polynomial and its value at 2**B an integer.  A negative letter divides a
 difference of such values by 2**B; the quotient t**N times the new entry
 is again a polynomial, so the shift is exact, not a floor.  Each entry is
-unpacked once, at offset -N, by `LaurentPoly.from_packed`.
+unpacked once, at offset -N, by `LaurentPoly.from_packed`, and
+det(rho(w) - I) is taken by `laurent.det_laurent`.
 
 Pipeline two: the Bennequin surface.  A braid word with sign-pure columns
 (every occurrence of an index has one sign) bounds a surface made of n
@@ -27,7 +28,9 @@ form is given by a local sign table: brick self-linking from the two band
 signs, shared-band bricks in a column, and interleaved bricks in adjacent
 columns, which meet once on the surface.  The table below is pinned by the
 requirement that both pipelines agree up to units and that positive torus
-words get negative definite symmetrized forms.
+words get negative definite symmetrized forms.  The Alexander polynomial
+det(S - t S^T) is an integer pencil, so it goes to `laurent.det_pencil`
+straight from the integer matrix.
 
 Signatures are computed exactly over the integers at omega = -1 (Descartes
 counting on the characteristic polynomial of the symmetrized form, which is
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braid import BraidWord, closure_components
-from .laurent import LaurentPoly, charpoly, det_laurent, slot_bits
+from .laurent import LaurentPoly, charpoly, det_laurent, det_pencil, slot_bits
 
 _ONE = LaurentPoly.one()
 
@@ -203,18 +206,9 @@ def brick_seifert(word: BraidWord) -> SeifertMatrix:
 
 def alexander_from_seifert(matrix: SeifertMatrix) -> LaurentPoly:
     """det(S - t S^T), normalized; the empty matrix gives 1."""
-    size = matrix.size
-    if size == 0:
-        return LaurentPoly.one()
     s = matrix.entries
-    entries = [
-        [
-            LaurentPoly(0, (s[i][j], -s[j][i]))
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
-    return det_laurent(entries).unit_normalized()
+    minus_transpose = [[-x for x in column] for column in zip(*s)]
+    return det_pencil(s, minus_transpose).unit_normalized()
 
 
 class SignatureMarginError(ValueError):

@@ -10,7 +10,24 @@ Determinants use Kronecker substitution: every entry is evaluated at t = 2**B,
 the resulting integer matrix is eliminated fraction-free (Bareiss), and the
 determinant polynomial is read back off the final integer in balanced
 base-2**B digits.  This keeps the hot loop inside CPython's big-integer
-multiply instead of per-coefficient Python.
+multiply instead of per-coefficient Python.  `det_laurent` does this for a
+matrix of Laurent polynomials (the Burau path); `det_pencil(A, B)` packs
+the integer pencil A + t*B as A_ij + (B_ij << B) with no polynomial
+objects, for `charpoly` (det(t*I - M)) and the Seifert determinant
+det(S - t*S^T).  Both use the one elimination and the one slot rule below.
+
+The elimination, `_bareiss_det`, stores every entry as an odd mantissa m
+and an exponent e >= 0, the value m * 2**e (zero is 0 with e = 0).  An
+entry t**k * p of a Laurent matrix packs to 2**(k*B) times the packed p,
+and every k x k Bareiss minor of aligned entries carries such a factor, so
+the powers of two that aligning creates stay in the exponents and out of
+the big-integer operands.  A product adds exponents; a difference shifts
+the mantissa with the larger exponent up to the smaller one; each result
+drops its trailing zeros into its exponent.  The division by the previous
+pivot pm * 2**pe uses the odd pm alone, and is exact: every Bareiss
+quotient is an integer (a minor of the matrix), so pm, being odd, divides
+the odd part of the numerator, and the quotient's exponent ve - pe is its
+2-adic valuation, hence >= 0.  Nothing is inverted modulo a power of two.
 
 Only the final determinant is unpacked (the Bareiss intermediates are exact
 integers whatever B is), so B has to cover its coefficients alone, and it
@@ -31,10 +48,11 @@ The packing lives here alone.  `slot_bits(bound)` is the slot width whose
 balanced digits, in [-2**(B-1), 2**(B-1)), hold every integer of size at
 most bound; `LaurentPoly.from_packed(value, bits, offset)` reads a packed
 value back, which is how the Burau product of `invariants` is unpacked.
-`_unpack` splits in halves: the low h digits of a value are its residue mod
-2**(h*B) moved into the balanced range, the rest is the exact quotient, and
-both halves recurse, so a value of k digits costs O(k B log k) bit
-operations rather than the O(k**2 B) of peeling one digit at a time.
+`_pack` and `_unpack` split in halves.  Packing adds the low half to the
+high half shifted by h*B; unpacking takes the low h digits of a value as its
+residue mod 2**(h*B) moved into the balanced range and the rest as the
+exact quotient.  Both halves recurse, so k digits cost O(k B log k) bit
+operations rather than the O(k**2 B) of one digit at a time.
 
 It also holds the rational polynomial arithmetic (dense ascending Fraction
 tuples: trim, add, negate, multiply, divmod, monic, and conversion from a
@@ -317,10 +335,15 @@ T = LaurentPoly.t()
 
 
 def _pack(coeffs, bits: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc << bits) + c
-    return acc
+    """The value of sum(coeffs[i] * t**i) at t = 2**bits, split in halves."""
+    n = len(coeffs)
+    if n <= 8:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc << bits) + c
+        return acc
+    h = n // 2
+    return _pack(coeffs[:h], bits) + (_pack(coeffs[h:], bits) << (h * bits))
 
 
 def slot_bits(bound: int) -> int:
@@ -357,31 +380,69 @@ def _split(value: int, bits: int, count: int) -> list[int]:
     return _split(low, bits, h) + _split((value - low) >> width, bits, count - h)
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix; destroys its argument."""
-    n = len(rows)
+def _det_slot_bits(n: int, c_max: int, terms_max: int, row_l1: int) -> int:
+    # both bound every coefficient of the determinant; see the module notes
+    return slot_bits(min(factorial(n) * c_max**n * terms_max ** (n - 1), row_l1))
+
+
+def _bareiss_det(values: list[list[int]], exps: list[list[int]]) -> int:
+    """Determinant of the integer matrix (values[i][j] << exps[i][j]).
+
+    Fraction-free (Bareiss) elimination on odd mantissas: see the module
+    notes.  Every exponent must be >= 0.  Destroys both arguments.
+    """
+    n = len(values)
     if n == 0:
         return 1
+    for mi, ei in zip(values, exps):
+        for j, x in enumerate(mi):
+            if x:
+                tz = (x & -x).bit_length() - 1
+                mi[j] = x >> tz
+                ei[j] += tz
+            else:
+                ei[j] = 0
     sign = 1
-    prev = 1
+    prev, prev_exp = 1, 0
     for k in range(n - 1):
-        if rows[k][k] == 0:
+        if values[k][k] == 0:
             for r in range(k + 1, n):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
+                if values[r][k] != 0:
+                    values[k], values[r] = values[r], values[k]
+                    exps[k], exps[r] = exps[r], exps[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = rows[k][k]
+        mk, ek = values[k], exps[k]
+        pivot, pivot_exp = mk[k], ek[k]
         for i in range(k + 1, n):
-            ri, rk = rows[i], rows[k]
-            rik = ri[k]
+            mi, ei = values[i], exps[i]
+            a, ea = mi[k], ei[k]
             for j in range(k + 1, n):
-                ri[j] = (pivot * ri[j] - rik * rk[j]) // prev
-            ri[k] = 0
-        prev = pivot
-    return sign * rows[n - 1][n - 1]
+                # pivot * v_ij - v_ik * v_kj, aligned at the smaller exponent
+                x = pivot * mi[j]
+                y = a * mk[j]
+                ex = pivot_exp + ei[j]
+                ey = ea + ek[j]
+                if ex > ey:
+                    x = (x << (ex - ey)) - y
+                    ex = ey
+                else:
+                    x -= y << (ey - ex)
+                if x:
+                    # the Bareiss quotient is an integer and prev is odd, so
+                    # prev divides the odd part exactly, and the quotient's
+                    # exponent is its 2-adic valuation, hence >= 0
+                    tz = (x & -x).bit_length() - 1
+                    mi[j] = (x >> tz) // prev
+                    ei[j] = ex + tz - prev_exp
+                else:
+                    mi[j] = 0
+                    ei[j] = 0
+            mi[k] = 0
+        prev, prev_exp = pivot, pivot_exp
+    return sign * values[n - 1][n - 1] << exps[n - 1][n - 1]
 
 
 def det_laurent(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -395,7 +456,6 @@ def det_laurent(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     shift = min((p.offset for row in matrix for p in row if not p.is_zero()), default=0)
     c_max = 1
     terms_max = 1
-    deg_max = 0
     row_l1 = 1
     for row in matrix:
         l1 = 0
@@ -404,42 +464,52 @@ def det_laurent(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
                 continue
             c_max = max(c_max, max(abs(c) for c in p.coeffs))
             terms_max = max(terms_max, len(p.coeffs))
-            deg_max = max(deg_max, p.degree - shift)
             l1 += sum(abs(c) for c in p.coeffs)
         row_l1 *= l1
-    # both bound every coefficient of the determinant; see the module notes
-    bound = min(factorial(n) * c_max**n * terms_max ** (n - 1), row_l1)
-    bits = slot_bits(bound)
-    packed = [
-        [_pack(_aligned(p, shift, deg_max), bits) for p in row]
-        for row in matrix
-    ]
-    det_value = _bareiss_det(packed)
-    coeffs = _unpack(det_value, bits)
-    return LaurentPoly(n * shift, tuple(coeffs))
+    bits = _det_slot_bits(n, c_max, terms_max, row_l1)
+    # t**-shift * p at t = 2**bits is the packed p times 2**(bits*(offset - shift))
+    values = [[_pack(p.coeffs, bits) for p in row] for row in matrix]
+    exps = [[bits * (p.offset - shift) for p in row] for row in matrix]
+    det_value = _bareiss_det(values, exps)
+    return LaurentPoly(n * shift, tuple(_unpack(det_value, bits)))
 
 
-def _aligned(p: LaurentPoly, shift: int, deg_max: int) -> list[int]:
-    out = [0] * (deg_max + 1)
-    for i, c in enumerate(p.coeffs):
-        out[p.offset - shift + i] = c
-    return out
+def det_pencil(a, b) -> LaurentPoly:
+    """Exact determinant det(A + t*B) of two square integer matrices.
+
+    The same elimination and slot rule as `det_laurent` on the pencil's
+    entries A_ij + B_ij * t, packed straight from the integers.
+    """
+    n = len(a)
+    if len(b) != n or any(len(row) != n for row in a) or any(len(row) != n for row in b):
+        raise ValueError("determinant of a non-square pencil")
+    if n == 0:
+        return LaurentPoly.one()
+    a = [[int(x) for x in row] for row in a]
+    b = [[int(y) for y in row] for row in b]
+    c_max = 1
+    terms_max = 1
+    row_l1 = 1
+    for ra, rb in zip(a, b):
+        l1 = 0
+        for x, y in zip(ra, rb):
+            c_max = max(c_max, abs(x), abs(y))
+            if x and y:
+                terms_max = 2
+            l1 += abs(x) + abs(y)
+        row_l1 *= l1
+    bits = _det_slot_bits(n, c_max, terms_max, row_l1)
+    values = [[x + (y << bits) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    exps = [[0] * n for _ in range(n)]
+    return LaurentPoly(0, tuple(_unpack(_bareiss_det(values, exps), bits)))
 
 
 def charpoly(matrix) -> LaurentPoly:
     """Characteristic polynomial det(t*I - M) of an integer matrix, exactly."""
     n = len(matrix)
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            m = int(matrix[i][j])
-            if i == j:
-                row.append(LaurentPoly(0, (-m, 1)))
-            else:
-                row.append(LaurentPoly.constant(-m))
-        entries.append(row)
-    return det_laurent(entries)
+    minus = [[-int(x) for x in row] for row in matrix]
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return det_pencil(minus, identity)
 
 
 # -- rational polynomials ----------------------------------------------

@@ -572,6 +572,28 @@ def test_cli_emit_rejects_a_report_that_is_not_utf8(tmp_path, capsys):
     assert "report error" in capsys.readouterr().err
 
 
+def test_cli_sweep_config_path_with_a_nul_byte(capsys):
+    assert main(["sweep", "--config", "a\0b"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_emit_input_path_with_a_nul_byte(capsys):
+    assert main(["emit", "--input", "a\0b"]) == 1
+    assert "report error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100000, '{"schema_version": ' + "9" * 5000 + "}"],
+    ids=["nested too deep", "integer too long"],
+)
+def test_cli_emit_rejects_json_the_decoder_refuses(tmp_path, capsys, text):
+    report = tmp_path / "refused.json"
+    report.write_text(text)
+    assert main(["emit", "--input", str(report)]) == 1
+    assert "report error" in capsys.readouterr().err
+
+
 def test_cli_sweep_output_path_with_a_nul_byte(tmp_path, capsys):
     config = tmp_path / "nul.cfg"
     config.write_text("genus = 1\npower = 0\nchecks = unknot\noutput = a\0b\n")
@@ -637,3 +659,56 @@ def test_cli_sweep_fuzz_exits_cleanly(tmp_path, monkeypatch, data):
     config = tmp_path / "fuzz.cfg"
     config.write_bytes(data)
     assert main(["sweep", "--config", str(config)]) in (0, 1, 2)
+
+
+# report text for the emit fuzz: a valid report from a tiny sweep, the
+# same with a field dropped, mistyped or the text cut short, or any bytes
+_TINY_SWEEP = "genus = 1..2\npower = 0\nchecks = unknot, alexander, fibred\n"
+_json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_report():
+    return canonical_json(build_report(run_sweep(parse_config(_TINY_SWEEP))))
+
+
+@st.composite
+def edited_reports(draw, text):
+    kind = draw(st.sampled_from(["valid", "drop", "mistype", "truncate"]))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))].encode()
+    document = json.loads(text)
+    if kind != "valid":
+        records = document["records"]
+        target = draw(st.sampled_from([document] + records))
+        key = draw(st.sampled_from(sorted(target)))
+        if kind == "drop":
+            del target[key]
+        else:
+            target[key] = draw(_json_values)
+    return json.dumps(document).encode()
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_cli_emit_fuzz_exits_cleanly(tmp_path, tiny_report, data):
+    report = tmp_path / "fuzz.json"
+    report.write_bytes(
+        data.draw(st.one_of(edited_reports(tiny_report), st.binary(max_size=60)))
+    )
+    fmt = data.draw(st.sampled_from(["json", "csv", "table"]))
+    target = tmp_path / "out.txt"
+    argv = ["emit", "--input", str(report), "--format", fmt, "--output", str(target)]
+    assert main(argv) in (0, 1, 2)

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from braidkit.laurent import (
     LaurentPoly,
+    _bareiss_det,
     _pack,
     _unpack,
     charpoly,
     count_roots_in,
     det_laurent,
+    det_pencil,
     poly_gcd_q,
     qmul,
     slot_bits,
@@ -278,6 +280,118 @@ def test_det_with_a_zero_row():
     for k in range(3):
         rotated = m[k:] + m[:k]
         assert det_laurent(rotated).is_zero()
+
+
+# the elimination keeps each entry as an odd mantissa times a power of
+# two; these cases give the exponents work: alignment shifts, even
+# coefficients, zero pivots that swap rows, and singular matrices
+_long_coeffs = st.lists(
+    st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40)), max_size=10
+)
+_staggered = st.one_of(
+    st.just(LaurentPoly.zero()),
+    st.builds(LaurentPoly.from_coeffs, _long_coeffs, st.integers(-30, 30)),
+    st.builds(
+        lambda c, k, e: LaurentPoly.monomial(e, c << k),
+        st.integers(-9, 9),
+        st.integers(0, 70),
+        st.integers(-30, 30),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(_staggered, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_det_of_staggered_laurent_matrices_matches_cofactor_expansion(m):
+    assert det_laurent(m) == _cofactor_det(m)
+
+
+def _int_det(rows):
+    return _cofactor_det(
+        [[LaurentPoly.constant(x) for x in row] for row in rows]
+    ).coefficient(0)
+
+
+_two_adic = st.one_of(
+    st.just(0),
+    st.builds(
+        lambda c, k: c << k, st.integers(-(2**20), 2**20), st.integers(0, 200)
+    ),
+)
+
+
+@st.composite
+def two_adic_matrices(draw):
+    """(values, exps): entries values[i][j] << exps[i][j], often zero.
+
+    The leading column is zero down to a drawn row, so the first pivot
+    needs a row swap; a singular case repeats a row times a power of two.
+    """
+    n = draw(st.integers(1, 6))
+    values = [[draw(_two_adic) for _ in range(n)] for _ in range(n)]
+    exps = [[draw(st.integers(0, 90)) for _ in range(n)] for _ in range(n)]
+    for i in range(draw(st.integers(0, n))):
+        values[i][0] = 0
+    if n > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        scale = draw(st.integers(0, 60))
+        values[dst] = [v << (scale + exps[src][j]) for j, v in enumerate(values[src])]
+        exps[dst] = [0] * n
+    return values, exps
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_adic_matrices())
+def test_mantissa_elimination_matches_the_integer_determinant(case):
+    values, exps = case
+    expected = _int_det(
+        [[v << e for v, e in zip(vr, er)] for vr, er in zip(values, exps)]
+    )
+    assert _bareiss_det(values, exps) == expected
+
+
+_pencil_entry = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**60), 2**60),
+    st.builds(lambda c, k: c << k, st.integers(-5, 5), st.integers(0, 80)),
+)
+
+
+def _square(n):
+    row = st.lists(_pencil_entry, min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(_square(n), _square(n))))
+def test_det_pencil_matches_det_laurent(case):
+    a, b = case
+    pencil = [
+        [LaurentPoly(0, (x, y)) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)
+    ]
+    assert det_pencil(a, b) == det_laurent(pencil)
+
+
+def test_det_pencil_near_the_leibniz_bound():
+    # det(H + tH) = det(H) (1 + t)**8 for the 8 x 8 Hadamard matrix: its
+    # middle coefficient 8**4 * C(8, 4) = 286720 overflows a slot sized
+    # as if every entry had one term (8! * 1**8, 18 bits)
+    h = [[(-1) ** bin(i & j).count("1") for j in range(8)] for i in range(8)]
+    expected = LaurentPoly.constant(8**4) * (LaurentPoly.one() + LaurentPoly.t()) ** 8
+    assert det_pencil(h, h) in (expected, -expected)
+
+
+def test_det_pencil_rejects_a_non_square_pencil():
+    with pytest.raises(ValueError):
+        det_pencil([[1, 2]], [[1, 2]])
+    with pytest.raises(ValueError):
+        det_pencil([[1]], [[1], [2]])
 
 
 def test_charpoly_known_matrices():
