@@ -131,10 +131,13 @@ def underlying_permutation(word: BraidWord) -> Permutation:
     This is a homomorphism for left-to-right composition:
     underlying_permutation(u * v) == underlying_permutation(u).then(...(v)).
     """
-    perm = Permutation.identity(word.strands)
-    for x in word.letters:
-        perm = perm.then(Permutation.transposition(word.strands, abs(x)))
-    return perm
+    # a swap at positions a - 1, a composes t_a on the right, so the
+    # letters go last to first: images = t_1 then t_2 ... then t_k
+    images = list(range(1, word.strands + 1))
+    for x in reversed(word.letters):
+        a = abs(x)
+        images[a - 1], images[a] = images[a], images[a - 1]
+    return Permutation(tuple(images))
 
 
 def closure_components(word: BraidWord) -> int:

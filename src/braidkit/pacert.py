@@ -18,7 +18,8 @@ Everything those tests need from the pair is a pure function of it: the
 characteristic polynomial of N N^T, its integer Sturm chain and the
 enclosure of mu at MU_TOLERANCE.  `mu_certificate` computes them once per
 (frozen, hashable) MulticurvePair behind an lru_cache, and `mu_enclosure`,
-`mu` and `classify` all read that one certificate.
+`mu` and `classify` all read that one certificate.  `classify` is memoized
+the same way, per (word, pair, margin); a MarginError is never cached.
 """
 
 from __future__ import annotations
@@ -297,6 +298,7 @@ class Classification:
     dilatation: float | None
 
 
+@lru_cache(maxsize=None)
 def classify(
     word: TwistWord,
     pair: MulticurvePair,

@@ -112,6 +112,14 @@ def test_underlying_permutation():
     assert underlying_permutation(BraidWord(3, (1, 2))).images == (3, 1, 2)
 
 
+@given(words())
+def test_underlying_permutation_folds_transpositions(w):
+    expected = Permutation.identity(w.strands)
+    for x in w.letters:
+        expected = expected.then(Permutation.transposition(w.strands, abs(x)))
+    assert underlying_permutation(w) == expected
+
+
 def test_closure_components():
     assert closure_components(BraidWord(2, (1,))) == 1
     assert closure_components(BraidWord(3, ())) == 3

@@ -712,3 +712,53 @@ def test_cli_emit_fuzz_exits_cleanly(tmp_path, tiny_report, data):
     target = tmp_path / "out.txt"
     argv = ["emit", "--input", str(report), "--format", fmt, "--output", str(target)]
     assert main(argv) in (0, 1, 2)
+
+
+# argument lists for the check fuzz: every check name and a few unknown
+# ones, genus and power within 0..3 (larger genera are slow, not broken),
+# bad variants, malformed braid and twist words, and stray flags
+_CHECK_OPTIONS = {
+    "--genus": st.one_of(
+        st.integers(0, 3).map(str), st.sampled_from(["-1", "x", ""])
+    ),
+    "--power": st.one_of(
+        st.integers(0, 3).map(str), st.sampled_from(["-2", "1.5"])
+    ),
+    "--variant": st.sampled_from(["original", "enhanced", "bogus", ""]),
+    "--word": st.one_of(
+        st.sampled_from(
+            ["2 1", "3 1 2", "3 1 -2 1 -2", "4 1 2 3", "3", "2 1 1",
+             "", " ", "0", "-3 1", "3 0", "3 5", "3 1 x", "1.5 1", "3 1\x002"]
+        ),
+        st.text(max_size=8),
+    ),
+    "--twist-word": st.one_of(
+        st.sampled_from(["A B-", "a+ b", "A", "B- A-", "", "C", "A2", "A B -"]),
+        st.text(max_size=6),
+    ),
+}
+_CHECK_FLAGS = ["--fixture", "--json", "--bogus", "-x", "--genus"]
+
+
+@st.composite
+def check_argvs(draw):
+    groups = [
+        [option, draw(values)]
+        for option, values in _CHECK_OPTIONS.items()
+        if draw(st.booleans())
+    ]
+    flags = draw(st.lists(st.sampled_from(_CHECK_FLAGS), max_size=2))
+    groups += [[flag] for flag in flags]
+    name = draw(st.sampled_from(list(ALL_CHECKS) + ["nope", ""]))
+    args = [arg for group in draw(st.permutations(groups)) for arg in group]
+    return ["check", name] + args
+
+
+@settings(max_examples=150, deadline=None)
+@given(check_argvs())
+def test_cli_check_fuzz_exits_cleanly(argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejecting the argument list
+        code = exc.code
+    assert code in (0, 1, 2)

@@ -3,8 +3,9 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
+from braidkit import destab
 from braidkit.braid import BraidWord, closure_components, family_braid
 from braidkit.destab import (
     MoveError,
@@ -148,3 +149,159 @@ def test_replay_always_matches_search(w):
     assert out == cert.final
     if cert.certified:
         assert out.strands == 1 and not out.letters
+
+
+# -- the list search against the word-rebuilding reference ----------------
+
+
+def _reference_apply(word, move):
+    """One move on an immutable word, rebuilt from slices of its letters."""
+    kind, arg = move
+    letters = word.letters
+    if kind == "reduce":
+        if not 0 <= arg < len(letters) - 1:
+            raise MoveError(f"reduce position {arg} out of range")
+        if letters[arg] != -letters[arg + 1]:
+            raise MoveError(f"letters at {arg} are not an inverse pair")
+        return BraidWord(word.strands, letters[:arg] + letters[arg + 2 :])
+    if kind == "rotate":
+        if not letters:
+            raise MoveError("rotating the empty word")
+        k = arg % len(letters)
+        return BraidWord(word.strands, letters[k:] + letters[:k])
+    if kind == "destab_bottom":
+        if not 0 <= arg < len(letters) or abs(letters[arg]) != 1:
+            raise MoveError(f"no index-1 letter at position {arg}")
+        if sum(1 for x in letters if abs(x) == 1) != 1:
+            raise MoveError("bottom destabilization needs a unique index-1 letter")
+        rest = letters[:arg] + letters[arg + 1 :]
+        shifted = tuple(x - 1 if x > 0 else x + 1 for x in rest)
+        return BraidWord(word.strands - 1, shifted)
+    if kind == "destab_top":
+        top = word.strands - 1
+        if not 0 <= arg < len(letters) or abs(letters[arg]) != top:
+            raise MoveError(f"no index-{top} letter at position {arg}")
+        if sum(1 for x in letters if abs(x) == top) != 1:
+            raise MoveError("top destabilization needs a unique top-index letter")
+        return BraidWord(word.strands - 1, letters[:arg] + letters[arg + 1 :])
+    raise MoveError(f"unknown move kind {kind!r}")
+
+
+def _reference_search(word):
+    """The greedy search rescanning a rebuilt word from position 0 per move.
+
+    Returns (moves, final, certified, rotations_used).
+    """
+    current = word
+    moves = []
+    rotations = 0
+    stall = 0
+    while current.letters:
+        letters = current.letters
+        pairs = [i for i in range(len(letters) - 1) if letters[i] == -letters[i + 1]]
+        bottom = [i for i, x in enumerate(letters) if abs(x) == 1]
+        top = [i for i, x in enumerate(letters) if abs(x) == current.strands - 1]
+        if pairs:
+            move = ("reduce", pairs[0])
+        elif len(bottom) == 1:
+            move = ("destab_bottom", bottom[0])
+        elif current.strands > 2 and len(top) == 1:
+            move = ("destab_top", top[0])
+        elif stall >= len(letters):
+            break
+        else:
+            move = ("rotate", 1)
+            stall += 1
+            rotations += 1
+        if move[0] != "rotate":
+            stall = 0
+        current = _reference_apply(current, move)
+        moves.append(move)
+    certified = not current.letters and current.strands == 1
+    return tuple(moves), current, certified, rotations
+
+
+GRID_WORDS = [
+    family_braid(g, n, v, allow_extension_fixture=True)
+    for g in range(1, 7)
+    for n in range(11)
+    for v in ("original", "enhanced")
+]
+
+# knotted closures (trefoil, figure-eight, cinquefoil, the (3, 4) torus knot)
+# that no move can shorten, each conjugated by a drawn word
+_STUCK = (
+    BraidWord(2, (1, 1, 1)),
+    BraidWord(3, (1, -2, 1, -2)),
+    BraidWord(2, (1,) * 5),
+    BraidWord(3, (1, 2) * 4),
+)
+
+
+@st.composite
+def stuck_words(draw):
+    knot = draw(st.sampled_from(_STUCK))
+    n = knot.strands
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    conj = BraidWord(n, tuple(draw(st.lists(letter, max_size=4))))
+    return conj.inverse() * knot * conj
+
+
+@st.composite
+def rotation_words(draw):
+    """A knot word wrapped in x^-1 ... x: the pair is cyclic, not adjacent."""
+    w = draw(knot_words())
+    x = draw(st.integers(1, w.strands - 1)) * draw(st.sampled_from([1, -1]))
+    return BraidWord(w.strands, (-x,) + w.letters + (x,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        knot_words(), stuck_words(), rotation_words(), st.sampled_from(GRID_WORDS)
+    )
+)
+def test_search_matches_the_word_rebuilding_reference(w):
+    cert = destabilize_greedy(w)
+    got = (cert.moves, cert.final, cert.certified, cert.rotations_used)
+    assert got == _reference_search(w)
+
+
+def test_grid_search_matches_the_reference_without_rotations():
+    for w in GRID_WORDS:
+        cert = destabilize_greedy(w)
+        assert cert.certified and cert.rotations_used == 0
+        got = (cert.moves, cert.final, cert.certified, cert.rotations_used)
+        assert got == _reference_search(w)
+
+
+def test_the_drawn_words_reach_stuck_and_rotating_searches():
+    find(stuck_words(), lambda w: not destabilize_greedy(w).certified)
+    find(rotation_words(), lambda w: destabilize_greedy(w).rotations_used > 0)
+
+
+def test_every_single_edit_of_a_grid_certificate_fails_replay():
+    for w in GRID_WORDS:
+        cert = destabilize_greedy(w)
+        for i, (kind, arg) in enumerate(cert.moves):
+            dropped = cert.moves[:i] + cert.moves[i + 1 :]
+            shifted = cert.moves[:i] + ((kind, arg + 1),) + cert.moves[i + 1 :]
+            for moves in (dropped, shifted):
+                with pytest.raises(MoveError):
+                    replay_certificate(dataclasses.replace(cert, moves=moves))
+
+
+def test_search_and_replay_build_only_the_final_word(monkeypatch):
+    built = []
+
+    class CountingWord(BraidWord):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(destab, "BraidWord", CountingWord)
+    w = family_braid(2, 10, "enhanced")
+    cert = destabilize_greedy(w)
+    assert len(cert.moves) > 100 and len(built) == 1
+    replay_certificate(cert)
+    assert len(built) == 2

@@ -109,6 +109,46 @@ def test_sweep_computes_mu_once_per_genus(monkeypatch):
     assert mu_certificate.cache_info().misses == 2
 
 
+def test_sweep_classifies_once_per_genus(monkeypatch):
+    from braidkit.sweep import SweepConfig, run_sweep
+
+    words = []
+
+    def counting_trace_polynomial(word):
+        words.append(word)
+        return trace_polynomial(word)
+
+    monkeypatch.setattr(pacert, "trace_polynomial", counting_trace_polynomial)
+    classify.cache_clear()
+    records = run_sweep(
+        SweepConfig(
+            genus=(1, 2),
+            power=(0, 1, 2),
+            variants=("original", "enhanced"),
+            checks=("pa",),
+            parallelism=1,
+        )
+    )
+    assert len(records) == 12
+    assert all(r["status"] == "verified" for r in records)
+    assert words == [parse_twist_word("A B-")] * 2
+    assert classify.cache_info().misses == 2
+
+
+def test_classify_does_not_cache_a_margin_failure(monkeypatch):
+    calls = []
+
+    def counting_trace_polynomial(word):
+        calls.append(word)
+        return trace_polynomial(word)
+
+    monkeypatch.setattr(pacert, "trace_polynomial", counting_trace_polynomial)
+    for _ in range(2):
+        with pytest.raises(MarginError):
+            classify(parse_twist_word("A B-"), chain_pair(2), margin=Fraction(3))
+    assert len(calls) == 2
+
+
 def test_mu_enclosure_custom_tolerance():
     lo, hi = mu_enclosure(chain_pair(3), tolerance=Fraction(1, 10**6))
     assert hi - lo <= Fraction(1, 10**6)
