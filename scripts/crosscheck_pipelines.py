@@ -38,7 +38,7 @@ def random_homogeneous_knot(rng, max_strands, max_len):
             return word
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=100)
     ap.add_argument("--seed", type=int, default=7)
@@ -47,7 +47,7 @@ def main() -> int:
     ap.add_argument(
         "--verbose", action="store_true", help="print every word checked"
     )
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)
     mismatches = 0

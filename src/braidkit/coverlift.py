@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .braid import BraidWord, VARIANTS, FamilySpec, family_braid
 from .laurent import (
@@ -217,8 +218,10 @@ def seifert_from_monodromy(matrix: IntMatrix, surface: ChainSurface) -> IntMatri
     S(I - M) = -J is solved as (I - M)^T S^T = -J^T by fraction-free
     Gauss-Jordan on the augmented rows [(I - M)^T | -J^T]: the Bareiss
     update goes to every row but the pivot's, so each step divides exactly
-    by the previous pivot.  The left block ends as d*I, d = +-det(I - M),
-    and S^T is the right block divided by d, entry by entry.
+    by the previous pivot.  The left block would end as d*I with d the last
+    pivot, +-det(I - M): every eliminated column is 0 off the diagonal and
+    d on it.  So each row drops a column once it is eliminated, and S^T is
+    what is left, the right block, divided by d entry by entry.
     """
     size = surface.rank
     if len(matrix) != size:
@@ -232,22 +235,27 @@ def seifert_from_monodromy(matrix: IntMatrix, surface: ChainSurface) -> IntMatri
     ]
     prev = 1
     for col in range(size):
-        pivot_row = next((r for r in range(col, size) if rows[r][col]), None)
+        # every row starts at column col: the columns before it are done
+        pivot_row = next((r for r in range(col, size) if rows[r][0]), None)
         if pivot_row is None:
             raise ValueError("monodromy has 1 as an eigenvalue; no Seifert solve")
         rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        top = rows[col]
-        pivot = top[col]
+        pivot, *tail = rows[col]
         for r in range(size):
             if r != col:
-                f = rows[r][col]
-                rows[r] = [(pivot * x - f * y) // prev for x, y in zip(rows[r], top)]
+                row = rows[r]
+                f = row[0]
+                rows[r] = [
+                    (pivot * x - f * y) // prev
+                    for x, y in zip(islice(row, 1, None), tail)
+                ]
+        rows[col] = tail
         prev = pivot
     out = []
     for c in range(size):
         row = []
         for r in range(size):
-            q, rem = divmod(rows[r][size + c], rows[r][r])
+            q, rem = divmod(rows[r][c], prev)
             if rem:
                 raise ConventionError(
                     "Seifert solve is non-integral; convention mismatch"

@@ -30,19 +30,19 @@ the odd part of the numerator, and the quotient's exponent ve - pe is its
 2-adic valuation, hence >= 0.  Nothing is inverted modulo a power of two.
 
 Only the final determinant is unpacked (the Bareiss intermediates are exact
-integers whatever B is), so B has to cover its coefficients alone, and it
-is sized from the smaller of two bounds on them, both sound:
+integers whatever B is), so B has to cover its coefficients alone.  It is
+sized from Hadamard's inequality on the unit circle:
 
-- each of the n! Leibniz terms is a product of n entries with coefficients
-  at most c_max and at most terms_max terms, so a coefficient is at most
-  n! * c_max**n * terms_max**(n-1);
-- the l1 norm of a product is at most the product of the l1 norms, and
-  multiplying out prod_i sum_j |a_ij|_1 gives every Leibniz term's bound
-  and more, so it bounds the determinant's l1 norm, hence each coefficient.
+- for |t| = 1, |det P(t)| <= prod_i ||row_i(t)||_2;
+- on the circle, |P_ij(t)| <= |P_ij|_1, the l1 norm of its coefficients;
+- each coefficient of a Laurent polynomial p is the mean of p(t) * t**-k
+  over the circle, so it is at most the maximum modulus of p there.
 
-The first is smaller for long polynomials (Burau matrices), the second for
-integer pencils with a few large rows (characteristic polynomials and
-Seifert determinants).
+So every coefficient of the determinant is at most
+ceil(sqrt(prod_i sum_j |P_ij|_1**2)), computed exactly with `isqrt` and
+rounded up.  For a pencil, |A_ij + t*B_ij|_1 = |A_ij| + |B_ij|.  Since
+sum x**2 <= (sum x)**2, the bound is never wider than the product of the
+row l1 norms.
 
 The packing lives here alone.  `slot_bits(bound)` is the slot width whose
 balanced digits, in [-2**(B-1), 2**(B-1)), hold every integer of size at
@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 def _trim(offset: int, coeffs: list[int]) -> tuple[int, tuple[int, ...]]:
@@ -380,9 +380,14 @@ def _split(value: int, bits: int, count: int) -> list[int]:
     return _split(low, bits, h) + _split((value - low) >> width, bits, count - h)
 
 
-def _det_slot_bits(n: int, c_max: int, terms_max: int, row_l1: int) -> int:
-    # both bound every coefficient of the determinant; see the module notes
-    return slot_bits(min(factorial(n) * c_max**n * terms_max ** (n - 1), row_l1))
+def _det_slot_bits(row_squares) -> int:
+    """Slot width for a determinant, from each row's sum of squared entry l1
+    norms: Hadamard's inequality on the unit circle (see the module notes)."""
+    product = 1
+    for square in row_squares:
+        product *= square
+    root = isqrt(product)
+    return slot_bits(root if root * root == product else root + 1)
 
 
 def _bareiss_det(values: list[list[int]], exps: list[list[int]]) -> int:
@@ -454,19 +459,9 @@ def det_laurent(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
         if len(row) != n:
             raise ValueError("determinant of a non-square matrix")
     shift = min((p.offset for row in matrix for p in row if not p.is_zero()), default=0)
-    c_max = 1
-    terms_max = 1
-    row_l1 = 1
-    for row in matrix:
-        l1 = 0
-        for p in row:
-            if p.is_zero():
-                continue
-            c_max = max(c_max, max(abs(c) for c in p.coeffs))
-            terms_max = max(terms_max, len(p.coeffs))
-            l1 += sum(abs(c) for c in p.coeffs)
-        row_l1 *= l1
-    bits = _det_slot_bits(n, c_max, terms_max, row_l1)
+    bits = _det_slot_bits(
+        sum(sum(map(abs, p.coeffs)) ** 2 for p in row) for row in matrix
+    )
     # t**-shift * p at t = 2**bits is the packed p times 2**(bits*(offset - shift))
     values = [[_pack(p.coeffs, bits) for p in row] for row in matrix]
     exps = [[bits * (p.offset - shift) for p in row] for row in matrix]
@@ -477,8 +472,9 @@ def det_laurent(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
 def det_pencil(a, b) -> LaurentPoly:
     """Exact determinant det(A + t*B) of two square integer matrices.
 
-    The same elimination and slot rule as `det_laurent` on the pencil's
-    entries A_ij + B_ij * t, packed straight from the integers.
+    The same elimination and Hadamard slot rule as `det_laurent` on the
+    pencil's entries A_ij + B_ij * t, whose l1 norms are |A_ij| + |B_ij|,
+    packed straight from the integers.
     """
     n = len(a)
     if len(b) != n or any(len(row) != n for row in a) or any(len(row) != n for row in b):
@@ -487,18 +483,9 @@ def det_pencil(a, b) -> LaurentPoly:
         return LaurentPoly.one()
     a = [[int(x) for x in row] for row in a]
     b = [[int(y) for y in row] for row in b]
-    c_max = 1
-    terms_max = 1
-    row_l1 = 1
-    for ra, rb in zip(a, b):
-        l1 = 0
-        for x, y in zip(ra, rb):
-            c_max = max(c_max, abs(x), abs(y))
-            if x and y:
-                terms_max = 2
-            l1 += abs(x) + abs(y)
-        row_l1 *= l1
-    bits = _det_slot_bits(n, c_max, terms_max, row_l1)
+    bits = _det_slot_bits(
+        sum((abs(x) + abs(y)) ** 2 for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+    )
     values = [[x + (y << bits) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
     exps = [[0] * n for _ in range(n)]
     return LaurentPoly(0, tuple(_unpack(_bareiss_det(values, exps), bits)))

@@ -1,5 +1,9 @@
 """Burau and Seifert pipelines: Alexander polynomials, determinants, signatures."""
 
+import importlib.util
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -248,3 +252,18 @@ def test_genus_bound():
         genus_bound_from_alexander(alexander_from_burau(BraidWord(2, (1,) * 5)))
         == 2
     )
+
+
+def test_crosscheck_script_smoke(capsys):
+    # the Burau slot path against the Seifert pencil path on random
+    # homogeneous knots, through the script's own entry point
+    path = Path(__file__).resolve().parent.parent / "scripts" / "crosscheck_pipelines.py"
+    spec = importlib.util.spec_from_file_location("crosscheck_pipelines", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    start = time.perf_counter()
+    code = script.main(["--count", "300", "--max-strands", "7", "--max-len", "24"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "300 words, 0 mismatches" in capsys.readouterr().out
+    assert elapsed < 2.0

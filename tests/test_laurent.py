@@ -1,10 +1,19 @@
 """Exact Laurent polynomial arithmetic, determinants, and Sturm counting."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidkit import laurent
+from braidkit.braid import family_braid
+from braidkit.coverlift import (
+    ChainSurface,
+    lift_homological,
+    seifert_from_monodromy,
+)
+from braidkit.invariants import SeifertMatrix, alexander_from_seifert
 from braidkit.laurent import (
     LaurentPoly,
     _bareiss_det,
@@ -180,8 +189,7 @@ def test_det_matches_cofactor_expansion(m):
     assert det_laurent(m) == _cofactor_det(m)
 
 
-# the Kronecker slot is sized from min(n! c^n T^(n-1), prod of row l1
-# norms); these cases make the row-l1 bound the smaller one
+# one row far larger than the others, so that row sets the Hadamard slot
 _unit = st.integers(-1, 1)
 _huge = st.integers(-(2**60), 2**60)
 
@@ -385,6 +393,184 @@ def test_det_pencil_near_the_leibniz_bound():
     h = [[(-1) ** bin(i & j).count("1") for j in range(8)] for i in range(8)]
     expected = LaurentPoly.constant(8**4) * (LaurentPoly.one() + LaurentPoly.t()) ** 8
     assert det_pencil(h, h) in (expected, -expected)
+
+
+# -- the Hadamard slot ----------------------------------------------------
+#
+# Sylvester's Hadamard matrices meet Hadamard's inequality with equality,
+# |det H_m| = m**(m/2).  Rows scaled by c * 2**k keep the determinant at the
+# slot bound, and rows scaled by powers of 1 + t keep it close to it.
+
+
+def _sylvester(m):
+    return [[(-1) ** bin(i & j).count("1") for j in range(m)] for i in range(m)]
+
+
+@cache
+def _sylvester_det(m):
+    return _int_det(_sylvester(m))
+
+
+def _scaled_hadamard(scales):
+    """H_m with row i multiplied by the Laurent polynomial scales[i]."""
+    rows = _sylvester(len(scales))
+    return [[s * LaurentPoly.constant(x) for x in row] for s, row in zip(scales, rows)]
+
+
+def _times_hadamard_det(factors):
+    # the determinant is linear in each row
+    out = LaurentPoly.constant(_sylvester_det(len(factors)))
+    for f in factors:
+        out = out * f
+    return out
+
+
+ONE_PLUS_T = LaurentPoly.one() + LaurentPoly.t()
+_ROW_SCALES = {
+    "powers of 1 + t": [ONE_PLUS_T ** (i % 3 + 1) for i in range(8)],
+    # |det| = prod_i sqrt(m) * |c_i| * 2**k_i, which is the bound itself
+    "c * 2**k": [
+        LaurentPoly.monomial(i - 3, (3 + 2 * i) * (-1) ** i << (7 * i + 1))
+        for i in range(8)
+    ],
+}
+
+
+def _slots_of(compute):
+    """Run compute() and return the slot widths its determinants used."""
+    seen = []
+    real = laurent._det_slot_bits
+
+    def record(row_squares):
+        seen.append(real(row_squares))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laurent, "_det_slot_bits", record)
+        compute()
+    return seen
+
+
+@pytest.mark.parametrize("kind", list(_ROW_SCALES))
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_det_of_scaled_hadamard_rows(m, kind):
+    scales = _ROW_SCALES[kind][:m]
+    matrix = _scaled_hadamard(scales)
+    expected = _times_hadamard_det(scales)
+    assert det_laurent(matrix) == expected
+    if m <= 4:
+        assert _cofactor_det(matrix) == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_det_pencil_of_hadamard_rows(m):
+    h = _sylvester(m)
+    assert det_pencil(h, h) == _times_hadamard_det([ONE_PLUS_T] * m)
+    # row i of A + tB is (c_i + d_i t) times row i of H
+    c = [x.coeffs[0] for x in _ROW_SCALES["c * 2**k"][:m]]
+    d = [(-3) ** i << (5 * i) for i in range(m)]
+    a = [[ci * x for x in row] for ci, row in zip(c, h)]
+    b = [[di * x for x in row] for di, row in zip(d, h)]
+    expected = _times_hadamard_det(
+        [LaurentPoly(0, (ci, di)) for ci, di in zip(c, d)]
+    )
+    assert det_pencil(a, b) == expected
+    if m <= 4:
+        pencil = [
+            [LaurentPoly(0, (x, y)) for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)
+        ]
+        assert _cofactor_det(pencil) == expected
+
+
+_row_scale = st.one_of(
+    st.builds(
+        lambda c, k, e: LaurentPoly.monomial(e, c << k),
+        st.integers(-99, 99).filter(bool),
+        st.integers(0, 60),
+        st.integers(-5, 5),
+    ),
+    st.builds(
+        lambda sign, k, e: (ONE_PLUS_T**k).shifted(e) * LaurentPoly.constant(sign),
+        st.sampled_from([1, -1]),
+        st.integers(0, 8),
+        st.integers(-5, 5),
+    ),
+)
+_pencil_scale = st.tuples(_pencil_entry, _pencil_entry)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2, 4, 8]).flatmap(
+        lambda m: st.tuples(
+            st.lists(_row_scale, min_size=m, max_size=m),
+            st.lists(_pencil_scale, min_size=m, max_size=m),
+        )
+    )
+)
+def test_det_of_randomly_scaled_hadamard_rows(case):
+    scales, pairs = case
+    assert det_laurent(_scaled_hadamard(scales)) == _times_hadamard_det(scales)
+    h = _sylvester(len(pairs))
+    a = [[c * x for x in row] for (c, _), row in zip(pairs, h)]
+    b = [[d * x for x in row] for (_, d), row in zip(pairs, h)]
+    expected = _times_hadamard_det([LaurentPoly(0, pair) for pair in pairs])
+    assert det_pencil(a, b) == expected
+
+
+def test_det_slot_is_the_rounded_up_hadamard_bound():
+    # rows with squared l1 norms 10 and 1: the bound is ceil(sqrt(10)) = 4
+    zeros = [[0, 0], [0, 0]]
+    assert _slots_of(lambda: det_pencil([[1, 3], [1, 0]], zeros)) == [slot_bits(4)]
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    m = [[one, LaurentPoly(2, (1, -2))], [one, zero]]
+    assert _slots_of(lambda: det_laurent(m)) == [slot_bits(4)]
+    # H_8 + tH_8: eight rows of squared norm 8 * 2**2, so the bound is 2**20
+    h = _sylvester(8)
+    assert _slots_of(lambda: det_pencil(h, h)) == [slot_bits(2**20)]
+
+
+def _row_l1_slot(norms):
+    bound = 1
+    for row in norms:
+        bound *= sum(row)
+    return slot_bits(bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(_square(n), _square(n))))
+def test_pencil_slot_is_never_wider_than_the_row_l1_slot(case):
+    a, b = case
+    norms = [[abs(x) + abs(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    (slot,) = _slots_of(lambda: det_pencil(a, b))
+    assert slot <= _row_l1_slot(norms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(_staggered, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_laurent_slot_is_never_wider_than_the_row_l1_slot(m):
+    norms = [[sum(map(abs, p.coeffs)) for p in row] for row in m]
+    (slot,) = _slots_of(lambda: det_laurent(m))
+    assert slot <= _row_l1_slot(norms)
+
+
+def test_genus_ten_fibred_slots():
+    # the charpoly's coefficients need at most 43 bits here; the Hadamard
+    # slot is 121 bits, and the Seifert pencil's 79
+    surface = ChainSurface(10)
+    lift = lift_homological(family_braid(10, 10, "original"), surface)
+    (slot,) = _slots_of(lambda: charpoly(lift))
+    assert slot <= 121
+    seifert = SeifertMatrix(seifert_from_monodromy(lift, surface))
+    (slot,) = _slots_of(lambda: alexander_from_seifert(seifert))
+    assert slot <= 79
 
 
 def test_det_pencil_rejects_a_non_square_pencil():
