@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from braidkit.coverlift import growth_sequence
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--genus", type=int, default=2)
     ap.add_argument("--min-power", type=int, default=0)
@@ -29,10 +29,20 @@ def main() -> int:
         "--variant", choices=("original", "enhanced"), default="original"
     )
     ap.add_argument("--csv", metavar="PATH", help="also write a CSV file")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     powers = range(args.min_power, args.max_power + 1)
-    values = growth_sequence(args.genus, powers, args.variant)
+    if not powers:
+        print(
+            f"error: empty power range {args.min_power}..{args.max_power}",
+            file=sys.stderr,
+        )
+        return 1
+    try:
+        values = growth_sequence(args.genus, powers, args.variant)
+    except ValueError as exc:  # a genus below 1 or a negative power
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     rows = []
     print(f"{'n':>4s} {'max|entry|':>14s} {'ratio':>10s}")

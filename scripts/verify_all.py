@@ -36,7 +36,7 @@ def _applicable(name: str, genus: int) -> bool:
     return True
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--genus", type=int, default=2, help="first genus")
     ap.add_argument(
@@ -52,9 +52,12 @@ def main() -> int:
         help="allow the fixture stirring word for enhanced genus != 2",
     )
     ap.add_argument("--json", metavar="PATH", help="write the full report")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     last = args.max_genus if args.max_genus is not None else args.genus
+    if last < args.genus:
+        print(f"error: empty genus range {args.genus}..{last}", file=sys.stderr)
+        return 1
     records = []
     skipped = 0
     for genus in range(args.genus, last + 1):

@@ -9,16 +9,30 @@ exact division.
 The product is evaluated at t = 2**B, one integer per entry (Kronecker
 substitution).  A letter's matrix differs from the identity in one column,
 so each letter updates that column of every row with one shift and two
-additions.  The slot width B comes first, from the same recurrence on the
-absolute-value matrices at t = 1: since the l1 norm is subadditive and
-submultiplicative, each entry of that product bounds the l1 norm, hence
-every coefficient, of the matching Burau entry.  With N negative letters,
-every partial-product entry e has exponents >= -N, so t**N * e is a
-polynomial and its value at 2**B an integer.  A negative letter divides a
-difference of such values by 2**B; the quotient t**N times the new entry
-is again a polynomial, so the shift is exact, not a floor.  Each entry is
-unpacked once, at offset -N, by `LaurentPoly.from_packed`, and
-det(rho(w) - I) is taken by `laurent.det_laurent`.
+additions.  The slot width B comes first, as a bound on the l1 norm, hence
+on every coefficient, of each Burau entry.  The l1 norm is subadditive
+and submultiplicative, so two bounds are proven:
+
+- the same recurrence on the absolute-value matrices at t = 1, whose
+  product bounds every entry entrywise;
+- for a word cut into chunks, the product of the chunks' exact l1
+  matrices (entry (i, j) the l1 norm of the chunk's Burau entry), each
+  chunk computed by this same packed product.
+
+The recurrence ignores every cancellation, so on a long word it is far
+too wide (288 bits for genus 2, power 6, enhanced, whose largest
+coefficient has 94); the chunk product sees the cancellation inside each
+chunk and gives 119.  Words longer than four 16-letter chunks take the
+chunk product; shorter ones keep the recurrence, which costs next to
+nothing beside the chunks.
+
+With N negative letters, every partial-product entry e has exponents
+>= -N, so t**N * e is a polynomial and its value at 2**B an integer.  A
+negative letter divides a difference of such values by 2**B; the quotient
+t**N times the new entry is again a polynomial, so the shift is exact, not
+a floor.  Each entry is unpacked once, at offset -N, by
+`LaurentPoly.from_packed`, and det(rho(w) - I) is taken by
+`laurent.det_laurent`.
 
 Pipeline two: the Bennequin surface.  A braid word with sign-pure columns
 (every occurrence of an index has one sign) bounds a surface made of n
@@ -40,11 +54,19 @@ real rooted) and in guarded floating point elsewhere on the unit circle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .braid import BraidWord, closure_components
-from .laurent import LaurentPoly, charpoly, det_laurent, det_pencil, slot_bits
+from .laurent import (
+    LaurentPoly,
+    charpoly,
+    det_laurent,
+    det_pencil,
+    packed_l1,
+    slot_bits,
+)
 
 _ONE = LaurentPoly.one()
 
@@ -73,26 +95,42 @@ def laurent_mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     return out
 
 
-def reduced_burau(word: BraidWord) -> LaurentMatrix:
-    """Reduced Burau matrix of a braid word; left-to-right homomorphism.
+# words longer than four chunks of this many letters bound their Burau
+# slot by the product of the chunks' exact l1 matrices
+_CHUNK = 16
 
-    On two strands sigma_1 maps to the 1 x 1 matrix (-t).  The product is
-    evaluated at t = 2**B; see the module notes.
-    """
-    n = word.strands
-    if n < 2:
-        return []
-    # rows padded with a zero column at each end, so letter k updates
-    # column k from columns k - 1 and k + 1 with no edge cases
-    bound = [[int(i == j) for j in range(n + 1)] for i in range(1, n)]
-    for x in word.letters:
+
+def _l1_bound(n: int, letters) -> int:
+    """A bound on the l1 norm of every entry of the reduced Burau product."""
+    if len(letters) > 4 * _CHUNK:
+        # l1 is submultiplicative, and each chunk's l1 matrix is exact
+        bound = None
+        for i in range(0, len(letters), _CHUNK):
+            m, bits, _ = _packed_burau(n, letters[i : i + _CHUNK])
+            l1 = [[packed_l1(v, bits) for v in row[1:n]] for row in m]
+            bound = l1 if bound is None else [
+                [sum(map(mul, row, col)) for col in zip(*l1)] for row in bound
+            ]
+        return max(map(max, bound))
+    rows = [[int(i == j) for j in range(n + 1)] for i in range(1, n)]
+    for x in letters:
         k = abs(x)
-        for row in bound:
+        for row in rows:
             row[k] += row[k - 1] + row[k + 1]
-    bits = slot_bits(max(max(row) for row in bound))
-    neg = sum(1 for x in word.letters if x < 0)
+    return max(map(max, rows))
+
+
+def _packed_burau(n: int, letters) -> tuple[list[list[int]], int, int]:
+    """(rows, bits, neg): t**neg times the reduced Burau product at t = 2**bits.
+
+    Rows are padded with a zero column at each end, so letter k updates
+    column k from columns k - 1 and k + 1 with no edge cases; neg is the
+    number of negative letters.
+    """
+    bits = slot_bits(_l1_bound(n, letters))
+    neg = sum(1 for x in letters if x < 0)
     m = [[int(i == j) << (bits * neg) for j in range(n + 1)] for i in range(1, n)]
-    for x in word.letters:
+    for x in letters:
         k = abs(x)
         if x > 0:
             for row in m:
@@ -104,6 +142,21 @@ def reduced_burau(word: BraidWord) -> LaurentMatrix:
             # its value at 2**bits a multiple of 2**bits
             for row in m:
                 row[k] = ((row[k + 1] - row[k]) >> bits) + row[k - 1]
+    return m, bits, neg
+
+
+def reduced_burau(word: BraidWord) -> LaurentMatrix:
+    """Reduced Burau matrix of a braid word; left-to-right homomorphism.
+
+    On two strands sigma_1 maps to the 1 x 1 matrix (-t).  The product is
+    evaluated at t = 2**B, with B from the t = 1 absolute-value recursion
+    or, past four 16-letter chunks, from the product of the chunks' exact
+    l1 matrices; see the module notes.
+    """
+    n = word.strands
+    if n < 2:
+        return []
+    m, bits, neg = _packed_burau(n, word.letters)
     return [[LaurentPoly.from_packed(v, bits, -neg) for v in row[1:n]] for row in m]
 
 

@@ -21,7 +21,6 @@ Config files are line-oriented `key = value`.  Ranges use `a..b`
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .braid import VARIANTS, FamilySpec, build_family, default_phi_extension
@@ -280,5 +279,9 @@ def run_sweep(config: SweepConfig) -> list[dict]:
     ]
     if config.parallelism == 1 or len(tasks) <= 1:
         return [build_record(task) for task in tasks]
+    # imported here: serial sweeps and `check` then skip loading
+    # multiprocessing, which costs more start-up than most records
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
         return list(pool.map(build_record, tasks))

@@ -1,8 +1,10 @@
 """Check registry, report emission, sweep configs, and the CLI driver."""
 
 import hashlib
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -762,3 +764,51 @@ def test_cli_check_fuzz_exits_cleanly(argv):
     except SystemExit as exc:  # argparse rejecting the argument list
         code = exc.code
     assert code in (0, 1, 2)
+
+
+# -- scripts -------------------------------------------------------------
+
+
+def _script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_all_script_smoke(tmp_path, capsys):
+    script = _script("verify_all")
+    out = tmp_path / "report.json"
+    assert script.main(["--genus", "1", "--max-genus", "2", "--json", str(out)]) == 0
+    assert "19 checks: verified=19; skipped 3 off-genus" in capsys.readouterr().out
+    validate_report(json.loads(out.read_text(encoding="utf-8")))
+    assert script.main(["--genus", "3", "--max-genus", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: empty genus range 3..1\n"
+    assert "checks:" not in captured.out
+
+
+def test_growth_table_script_smoke(tmp_path, capsys):
+    script = _script("growth_table")
+    out = tmp_path / "growth.csv"
+    assert script.main(["--genus", "2", "--max-power", "3", "--csv", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:5] == [
+        "   0              2           ",
+        "   1              4     2.0000",
+        "   2             31     7.7500",
+        "   3            238     7.6774",
+    ]
+    assert out.read_text(encoding="utf-8").splitlines()[:2] == [
+        "power,max_entry,ratio",
+        "0,2,",
+    ]
+    for argv, message in (
+        (["--genus", "0"], "genus must be at least 1"),
+        (["--min-power", "-2"], "power must be nonnegative"),
+        (["--min-power", "5", "--max-power", "2"], "empty power range 5..2"),
+    ):
+        assert script.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""

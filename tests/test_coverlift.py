@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidkit import laurent
 from braidkit.braid import BraidWord, FamilySpec, family_braid
 from braidkit.coverlift import (
     ChainSurface,
@@ -329,6 +330,28 @@ def test_seifert_solve_matches_the_rational_oracle(case):
 
 def F(x):
     return Fraction(x)
+
+
+def test_monodromy_lift_pencils_take_one_slot():
+    # the 99 charpolys and 99 Seifert pencils of genus 2..10, power 0..10
+    calls = []
+    real = laurent._bareiss_det
+
+    def count(values, exps):
+        calls.append(None)
+        return real(values, exps)
+
+    for genus in range(2, 11):
+        surface = ChainSurface(genus)
+        for power in range(0, 11):
+            lift = lift_homological(family_braid(genus, power), surface)
+            seifert = SeifertMatrix(seifert_from_monodromy(lift, surface))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(laurent, "_bareiss_det", count)
+                charpoly_int(lift)
+                alexander_from_seifert(seifert)
+            assert len(calls) == 2, (genus, power, len(calls))
+            calls.clear()
 
 
 def test_module_invariants_identity():

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from braidkit.braid import BraidWord, closure_components
+from braidkit import invariants, laurent
+from braidkit.braid import BraidWord, closure_components, family_braid
 from braidkit.invariants import (
     SeifertMatrix,
     SignatureMarginError,
@@ -22,7 +23,7 @@ from braidkit.invariants import (
     reduced_burau,
     signature_function,
 )
-from braidkit.laurent import LaurentPoly
+from braidkit.laurent import LaurentPoly, slot_bits
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 FIG8 = BraidWord(3, (1, -2, 1, -2))
@@ -116,6 +117,81 @@ def burau_words(draw):
 @example(BraidWord(7, (1, 2, 3, 4, 5, 6) * 20))
 def test_reduced_burau_matches_the_laurent_oracle(w):
     assert reduced_burau(w) == burau_oracle(w)
+
+
+def _recursion_slot(word):
+    """The t = 1 absolute-value recursion's slot, the rule for short words."""
+    n = word.strands
+    rows = [[int(i == j) for j in range(n + 1)] for i in range(1, n)]
+    for x in word.letters:
+        k = abs(x)
+        for row in rows:
+            row[k] += row[k - 1] + row[k + 1]
+    return slot_bits(max(map(max, rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    burau_words().flatmap(
+        lambda w: st.integers(0, 3).map(
+            # (w w^-1)^k w cancels in the product, not in the recursion
+            lambda k: BraidWord(
+                w.strands, (w.letters + w.inverse().letters) * k + w.letters
+            )
+        )
+    )
+)
+@example(BraidWord(5, (2, -3, 1, 2, 3, 4, -1) * 10))
+def test_chunked_burau_slot_is_exact_and_never_wider(w):
+    # past 64 letters the slot comes from the chunks' l1 matrices; it holds
+    # every coefficient (the oracle) and never exceeds the recursion's
+    assert reduced_burau(w) == burau_oracle(w)
+    bits = invariants._packed_burau(w.strands, w.letters)[1]
+    if len(w.letters) > 64:
+        assert bits <= _recursion_slot(w)
+    else:
+        assert bits == _recursion_slot(w)
+
+
+def test_family_burau_slots():
+    # genus 2, enhanced: the chunked slot against the recursion's 288 and
+    # 477 bits; the largest coefficients have 94 and 161 bits
+    for power, slot, recursion, largest in ((6, 119, 288, 94), (10, 199, 477, 161)):
+        word = family_braid(2, power, "enhanced")
+        assert invariants._packed_burau(word.strands, word.letters)[1] == slot
+        assert _recursion_slot(word) == recursion
+        burau = reduced_burau(word)
+        top = max(abs(c) for row in burau for p in row for c in p.coeffs)
+        assert top.bit_length() == largest
+
+
+def _eliminations(compute):
+    """Run compute() and count its calls of the one elimination loop."""
+    calls = []
+    real = laurent._bareiss_det
+
+    def count(values, exps):
+        calls.append(None)
+        return real(values, exps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laurent, "_bareiss_det", count)
+        compute()
+    return len(calls)
+
+
+def test_example_sweep_burau_determinants_pick_their_slots():
+    # the example sweep's 56 Burau determinants: genus 2, enhanced, powers
+    # 3..6 are evaluated at several narrow slots, every other at one
+    for genus in range(1, 5):
+        for power in range(0, 7):
+            for variant in ("original", "enhanced"):
+                word = family_braid(genus, power, variant, allow_extension_fixture=True)
+                calls = _eliminations(lambda: alexander_from_burau(word))
+                if (genus, variant) == (2, "enhanced") and power >= 3:
+                    assert calls > 1, (genus, power, variant)
+                else:
+                    assert calls == 1, (genus, power, variant, calls)
 
 
 def test_reduced_burau_b2():

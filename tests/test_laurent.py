@@ -580,6 +580,147 @@ def test_det_pencil_rejects_a_non_square_pencil():
         det_pencil([[1]], [[1], [2]])
 
 
+# -- several narrow slots ------------------------------------------------
+#
+# With POINT_OPERAND_BITS patched down, small matrices take the multi-point
+# path: D read off the widest of several narrow slots, cross-checked at the
+# others and accepted under the Landau condition, else the one Hadamard slot.
+
+
+def _det_with_point_bits(m, point_bits):
+    """det_laurent(m) at POINT_OPERAND_BITS = point_bits, and its eliminations."""
+    calls = []
+    real = laurent._bareiss_det
+
+    def count(values, exps):
+        calls.append(None)
+        return real(values, exps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laurent, "POINT_OPERAND_BITS", point_bits)
+        patch.setattr(laurent, "_bareiss_det", count)
+        det = det_laurent(m)
+    return det, len(calls)
+
+
+def _points_for(m, point_bits):
+    (bits,) = _slots_of(lambda: det_laurent(m))
+    longest = max((len(p.coeffs) for row in m for p in row), default=0)
+    return longest * bits // point_bits
+
+
+# coefficients up to 2**30 make determinant coefficients that overflow the
+# narrow slots, so those matrices must fall back
+_multipoint_entry = st.one_of(
+    st.just(LaurentPoly.zero()),
+    small_polys,
+    st.builds(
+        LaurentPoly.from_coeffs,
+        st.lists(st.integers(-(2**30), 2**30), max_size=8),
+        st.integers(-5, 5),
+    ),
+)
+
+
+@st.composite
+def multipoint_matrices(draw):
+    """Square Laurent matrices; a singular one repeats a row times a polynomial."""
+    n = draw(st.integers(1, 4))
+    m = [[draw(_multipoint_entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        factor = draw(small_polys)
+        m[dst] = [factor * p for p in m[src]]
+    return m
+
+
+@st.composite
+def unit_determinant_matrices(draw):
+    """L * U with L unit lower triangular and U upper with +-t**k diagonal.
+
+    The entries are long and large, the determinant a single monomial, so
+    narrow slots hold it and the multi-point path is accepted.
+    """
+    n = draw(st.integers(2, 4))
+    entry = st.builds(
+        LaurentPoly.from_coeffs,
+        st.lists(st.integers(-(2**12), 2**12), min_size=1, max_size=12),
+        st.integers(-3, 3),
+    )
+    zero = LaurentPoly.zero()
+    diagonal = [
+        LaurentPoly.monomial(draw(st.integers(-4, 4)), draw(st.sampled_from([1, -1])))
+        for _ in range(n)
+    ]
+    lower = [
+        [draw(entry) if j < i else LaurentPoly.constant(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    upper = [
+        [draw(entry) if j > i else diagonal[i] if i == j else zero for j in range(n)]
+        for i in range(n)
+    ]
+    product = [
+        [
+            sum((lower[i][k] * upper[k][j] for k in range(n)), zero)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    det = LaurentPoly.one()
+    for d in diagonal:
+        det = det * d
+    return product, det
+
+
+@settings(max_examples=200, deadline=None)
+@given(multipoint_matrices(), st.sampled_from([4, 16, 64]))
+def test_multipoint_det_matches_one_slot_and_cofactor(m, point_bits):
+    det, _ = _det_with_point_bits(m, point_bits)
+    assert det == det_laurent(m) == _cofactor_det(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_determinant_matrices(), st.sampled_from([16, 64, 256]))
+def test_multipoint_det_is_accepted_when_the_slots_hold_it(case, point_bits):
+    m, expected = case
+    det, calls = _det_with_point_bits(m, point_bits)
+    assert det == expected == _cofactor_det(m)
+    points = _points_for(m, point_bits)
+    # one elimination per slot and no fallback
+    assert calls == (points if points > 1 else 1)
+
+
+def test_multipoint_det_falls_back_when_a_coefficient_overflows():
+    # det = big**2 * t**2 - 1 on a wide Hadamard slot: the narrow slots
+    # cannot hold big**2, the cross-check refuses, the one slot runs
+    big = 2**40 + 3
+    a = LaurentPoly(0, (5, -7, 1, 3, 0, 2, 1, big))
+    m = [
+        [a.shifted(1) * LaurentPoly.constant(big), LaurentPoly.one()],
+        [LaurentPoly.one(), a.shifted(1)],
+    ]
+    expected = _cofactor_det(m)
+    points = _points_for(m, 16)
+    assert points > 2
+    det, calls = _det_with_point_bits(m, 16)
+    assert det == expected
+    assert 2 < calls <= points + 1
+    # a determinant that is a single large constant, on one 1 x 1 entry
+    det, calls = _det_with_point_bits([[LaurentPoly.constant(2**37)]], 4)
+    assert det == LaurentPoly.constant(2**37) and calls > 2
+
+
+def test_multipoint_det_of_singular_and_zero_matrices():
+    big = LaurentPoly(-2, (2**50, -(2**50), 7, 1, 1, 1, 1, 1))
+    row = [big, LaurentPoly.t(), big * big]
+    m = [row, [p.shifted(3) for p in row], [LaurentPoly.one(), big, LaurentPoly.t()]]
+    assert _points_for(m, 16) > 1
+    assert _det_with_point_bits(m, 16)[0].is_zero()
+    zero = [[LaurentPoly.zero()] * 2] * 2
+    assert _det_with_point_bits(zero, 1) == (LaurentPoly.zero(), 1)
+
+
 def test_charpoly_known_matrices():
     assert charpoly([[0, 1], [1, 1]]).to_text() == "0|-1 -1 1"
     assert charpoly([[1, 0], [0, 1]]).to_text() == "0|1 -2 1"
@@ -666,6 +807,20 @@ def test_slot_bits_holds_the_bound(bound):
 
 def F(x):
     return Fraction(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 40).flatmap(
+        lambda bits: st.tuples(
+            st.just(bits),
+            st.lists(st.integers(-(2 ** (bits - 1)), 2 ** (bits - 1) - 1), max_size=20),
+        )
+    )
+)
+def test_packed_l1_is_the_l1_norm_of_the_digits(case):
+    bits, coeffs = case
+    assert laurent.packed_l1(_pack(coeffs, bits), bits) == sum(map(abs, coeffs))
 
 
 def test_poly_gcd():
