@@ -49,14 +49,14 @@ straight from the integer matrix.
 Signatures are computed exactly over the integers at omega = -1 (Descartes
 counting on the characteristic polynomial of the symmetrized form, which is
 real rooted) and in guarded floating point elsewhere on the unit circle.
+That branch is the only user of numpy and imports it itself, so importing
+braidkit (and starting the CLI) does not load numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-
-import numpy as np
 
 from .braid import BraidWord, closure_components
 from .laurent import (
@@ -293,6 +293,8 @@ def signature_function(matrix: SeifertMatrix, omega=-1, margin: float = 1e-9) ->
     alex = alexander_from_seifert(matrix)
     if abs(alex.eval(omega)) <= margin:
         raise SignatureMarginError("omega is within the margin of an Alexander root")
+    import numpy as np
+
     s = np.array(matrix.entries, dtype=float)
     h = (1 - omega) * s + (1 - omega.conjugate()) * s.T
     eigs = np.linalg.eigvalsh(h)

@@ -29,6 +29,19 @@ quotient is an integer (a minor of the matrix), so pm, being odd, divides
 the odd part of the numerator, and the quotient's exponent ve - pe is its
 2-adic valuation, hence >= 0.  Nothing is inverted modulo a power of two.
 
+Each step k pivots on the row i >= k whose column-k mantissa is least in
+absolute value among the nonzero ones, the first such row on ties, swaps
+that row in (mantissas and exponents) and flips the sign; a column with no
+nonzero entry left gives 0.  Row pivoting keeps Bareiss exact: each
+quotient is a minor of the row-permuted matrix.  The rule is for pencils.
+In t*I - M packed at t = 2**B the diagonal entries have about B bits and
+the others are short constants, and a minor of t*I - M has t-degree at most
+the number of diagonal entries it contains.  Pivoting on the diagonal, as
+the first nonzero entry of each column would, puts a factor of t in every
+minor from the first step on and lengthens the operands by a whole slot
+per step; short pivots keep the minors, and so the packed operands, short
+until the last steps.
+
 Only the final determinant is unpacked (the Bareiss intermediates are exact
 integers whatever B is), so B has to cover its coefficients alone.  It is
 sized from Hadamard's inequality on the unit circle:
@@ -440,8 +453,10 @@ def _det_slot_bits(row_squares) -> int:
 def _bareiss_det(values: list[list[int]], exps: list[list[int]]) -> int:
     """Determinant of the integer matrix (values[i][j] << exps[i][j]).
 
-    Fraction-free (Bareiss) elimination on odd mantissas: see the module
-    notes.  Every exponent must be >= 0.  Destroys both arguments.
+    Fraction-free (Bareiss) elimination on odd mantissas, pivoting on the
+    least nonzero mantissa of each column: see the module notes.  Every
+    exponent must be >= 0.  Destroys both arguments, and reorders their rows
+    in place.
     """
     n = len(values)
     if n == 0:
@@ -457,15 +472,18 @@ def _bareiss_det(values: list[list[int]], exps: list[list[int]]) -> int:
     sign = 1
     prev, prev_exp = 1, 0
     for k in range(n - 1):
-        if values[k][k] == 0:
-            for r in range(k + 1, n):
-                if values[r][k] != 0:
-                    values[k], values[r] = values[r], values[k]
-                    exps[k], exps[r] = exps[r], exps[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+        # pivot on the least nonzero mantissa of column k, first on ties
+        r, least = k, abs(values[k][k])
+        for i in range(k + 1, n):
+            x = abs(values[i][k])
+            if x and (x < least or not least):
+                r, least = i, x
+        if not least:
+            return 0
+        if r != k:
+            values[k], values[r] = values[r], values[k]
+            exps[k], exps[r] = exps[r], exps[k]
+            sign = -sign
         mk, ek = values[k], exps[k]
         pivot, pivot_exp = mk[k], ek[k]
         for i in range(k + 1, n):

@@ -1,6 +1,10 @@
 """Burau and Seifert pipelines: Alexander polynomials, determinants, signatures."""
 
+import cmath
 import importlib.util
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -304,6 +308,26 @@ def test_signatures_match_tables():
     assert signature_function(brick_seifert(SIX_THREE)) == 0
     assert signature_function(brick_seifert(BraidWord(2, (1,) * 9))) == -8
     assert signature_function(brick_seifert(BraidWord(2, (1,)))) == 0
+
+
+def test_signature_off_minus_one_jumps_at_the_alexander_roots():
+    # the trefoil's Alexander roots sit at exp(+-i pi/3): the floating-point
+    # branch reads 0 before the root and the omega = -1 value after it
+    form = brick_seifert(TREFOIL)
+    assert signature_function(form, cmath.exp(0.25j * cmath.pi)) == 0
+    assert signature_function(form, 1j) == -2
+    assert signature_function(form, cmath.exp(0.9j * cmath.pi)) == -2
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # only the floating-point signature branch uses numpy, and imports it there
+    code = "import sys, braidkit.cli; print('numpy' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_signature_margin_guard():

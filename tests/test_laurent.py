@@ -364,6 +364,152 @@ def test_mantissa_elimination_matches_the_integer_determinant(case):
     assert _bareiss_det(values, exps) == expected
 
 
+# -- the pivot rule ------------------------------------------------------
+#
+# Each step pivots on the nonzero column entry of least absolute mantissa,
+# the first such row on ties.  Any nonzero pivot gives the same determinant,
+# so these tests look at the rows: the elimination reorders the row objects
+# of `values` in place, and the first step's pivot row stays at position 0.
+
+
+@pytest.mark.parametrize(
+    "column, pivot",
+    [
+        ((9, 7, 3), 2),  # the least entry sits in the last row
+        ((7, -3, -9), 1),  # by absolute value, not by signed value
+        ((5, -3, 3), 1),  # a tie goes to the first row
+        ((0, 0, -5), 2),  # zero entries are never pivots
+    ],
+)
+def test_elimination_pivots_on_the_least_mantissa(column, pivot):
+    rows = [[c, 1 + 2 * i, 3 - 4 * i] for i, c in enumerate(column)]
+    expected = _int_det(rows)
+    values = [list(row) for row in rows]
+    first = values[pivot]
+    assert _bareiss_det(values, [[0] * 3 for _ in range(3)]) == expected
+    assert values[0] is first
+
+
+def test_elimination_compares_odd_mantissas():
+    # 12 = 3 * 2**2 has the least mantissa; 5 << 4 = 80 is not the pivot
+    # although its exponent row makes it the largest value
+    values = [[5, 1, 2], [7, 3, 1], [12, 1, 1]]
+    exps = [[4, 0, 0], [0, 0, 0], [0, 0, 0]]
+    expected = _int_det(
+        [[v << e for v, e in zip(vr, er)] for vr, er in zip(values, exps)]
+    )
+    first = values[2]
+    assert _bareiss_det(values, exps) == expected
+    assert values[0] is first
+
+
+@st.composite
+def packed_charpoly_pencils(draw):
+    """tI - M at t = 2**B, B in 60..130, as (pencil, B).
+
+    The off-diagonal constants are small and often zero, so the least entry
+    of a column sits off the diagonal, several rows down, or nowhere below
+    it; a singular case repeats a row of the pencil.
+    """
+    n = draw(st.integers(1, 5))
+    bits = draw(st.integers(60, 130))
+    small = st.one_of(st.just(0), st.just(0), st.integers(-(2**28), 2**28))
+    pencil = [
+        [
+            LaurentPoly(0, (-draw(small), 1)) if i == j else LaurentPoly.constant(-draw(small))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    if n > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        pencil[dst] = list(pencil[src])
+    return pencil, bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_charpoly_pencils())
+def test_elimination_of_packed_charpoly_pencils(case):
+    pencil, bits = case
+    n = len(pencil)
+    values = [[p.eval_int(1 << bits) for p in row] for row in pencil]
+    exps = [[0] * n for _ in range(n)]
+    assert _bareiss_det(values, exps) == _cofactor_det(pencil).eval_int(1 << bits)
+    a = [[p.coefficient(0) for p in row] for row in pencil]
+    b = [[p.coefficient(1) for p in row] for row in pencil]
+    assert det_pencil(a, b) == _cofactor_det(pencil)
+
+
+# long diagonal entries and short, often zero, off-diagonal ones, so the
+# pivot is mostly an off-diagonal entry with its own alignment exponent
+_long_diagonal = st.builds(
+    LaurentPoly.from_coeffs,
+    st.lists(st.integers(-(2**30), 2**30), min_size=3, max_size=10),
+    st.integers(-20, 20),
+)
+_short_off_diagonal = st.one_of(
+    st.just(LaurentPoly.zero()),
+    st.just(LaurentPoly.zero()),
+    st.builds(
+        LaurentPoly.monomial,
+        st.integers(-20, 20),
+        st.integers(-9, 9).filter(bool),
+    ),
+)
+
+
+@st.composite
+def off_diagonal_pivot_matrices(draw):
+    n = draw(st.integers(1, 5))
+    m = [
+        [draw(_long_diagonal if i == j else _short_off_diagonal) for j in range(n)]
+        for i in range(n)
+    ]
+    if n > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        shift = draw(st.integers(-5, 5))
+        m[dst] = [p.shifted(shift) for p in m[src]]
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(off_diagonal_pivot_matrices())
+def test_det_with_off_diagonal_pivots_matches_cofactor_expansion(m):
+    assert det_laurent(m) == _cofactor_det(m)
+
+
+def _fraction_det(rows):
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            factor = m[i][k] / m[k][k]
+            if factor:
+                m[i] = [x - factor * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+@pytest.mark.parametrize("power", [0, 5, 10])
+def test_genus_ten_charpolys_match_rational_evaluations(power):
+    # a degree-20 polynomial is fixed by its values at 21 points
+    lift = lift_homological(family_braid(10, power, "original"), ChainSurface(10))
+    p = charpoly(lift)
+    n = len(lift)
+    assert p.offset == 0 and len(p.coeffs) == n + 1
+    for c in range(-10, 11):
+        shifted = [[(c if i == j else 0) - lift[i][j] for j in range(n)] for i in range(n)]
+        assert p.eval_int(c) == _fraction_det(shifted)
+
+
 _pencil_entry = st.one_of(
     st.integers(-3, 3),
     st.integers(-(2**60), 2**60),
