@@ -84,9 +84,11 @@ is the price of a determinant whose coefficients overflow the narrow
 slots.  The cross-check is what catches such an overflow; the Landau
 condition guards the rare case where a wrong D' still matched every slot,
 which random matrices do not reach, and is a proof step rather than a
-tested branch.  POINT_OPERAND_BITS = 8192 gives 2 to 10 points on the
-largest Burau determinants of the example sweep and one slot on every
-other determinant there and on every pencil of `monodromy-lift`.
+tested branch.  The Burau determinants come from the two half-words (see
+`invariants`), and POINT_OPERAND_BITS = 8192 gives 2 points on the
+largest of the example sweep (genus 2, enhanced, power 6), one slot on
+every other determinant there and on every pencil of `monodromy-lift`,
+and 3, 4, 6 and 7 points at powers 7 to 10 of the acceptance grid.
 
 The packing lives here alone.  `slot_bits(bound)` is the slot width whose
 balanced digits, in [-2**(B-1), 2**(B-1)), hold every integer of size at
@@ -518,9 +520,10 @@ def _bareiss_det(values: list[list[int]], exps: list[list[int]]) -> int:
 # Packed operand bits per evaluation point: a determinant whose longest
 # entry has L coefficients, at a slot of B bits, is evaluated at
 # floor(L * B / POINT_OPERAND_BITS) narrow slots when that is at least 2
-# (see the module notes).  4096 and 16384 cost within about 20% of this on
-# the Burau determinants of the example sweep; 2048 and 32768 lose most of
-# the gain over one slot.
+# (see the module notes).  On the half-word Burau determinants 4096 and
+# 16384 give `wall_s` within about 1% of this on both the example sweep
+# and the acceptance grid (three alternating 20 s perfbench runs each),
+# neither better on both.
 POINT_OPERAND_BITS = 8192
 
 

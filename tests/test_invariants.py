@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from braidkit import invariants, laurent
-from braidkit.braid import BraidWord, closure_components, family_braid
+from braidkit.braid import BraidWord, closure_components, exponent_sum, family_braid
 from braidkit.invariants import (
     SeifertMatrix,
     SignatureMarginError,
@@ -27,7 +27,7 @@ from braidkit.invariants import (
     reduced_burau,
     signature_function,
 )
-from braidkit.laurent import LaurentPoly, slot_bits
+from braidkit.laurent import LaurentPoly, det_laurent, slot_bits
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 FIG8 = BraidWord(3, (1, -2, 1, -2))
@@ -147,11 +147,11 @@ def _recursion_slot(word):
 )
 @example(BraidWord(5, (2, -3, 1, 2, 3, 4, -1) * 10))
 def test_chunked_burau_slot_is_exact_and_never_wider(w):
-    # past 64 letters the slot comes from the chunks' l1 matrices; it holds
+    # past four chunks the slot comes from the chunks' l1 matrices; it holds
     # every coefficient (the oracle) and never exceeds the recursion's
     assert reduced_burau(w) == burau_oracle(w)
     bits = invariants._packed_burau(w.strands, w.letters)[1]
-    if len(w.letters) > 64:
+    if len(w.letters) > 4 * invariants._CHUNK:
         assert bits <= _recursion_slot(w)
     else:
         assert bits == _recursion_slot(w)
@@ -185,17 +185,84 @@ def _eliminations(compute):
 
 
 def test_example_sweep_burau_determinants_pick_their_slots():
-    # the example sweep's 56 Burau determinants: genus 2, enhanced, powers
-    # 3..6 are evaluated at several narrow slots, every other at one
+    # the example sweep's 56 Burau determinants, taken on the two half-words:
+    # genus 2, enhanced, power 6 is evaluated at two narrow slots, every
+    # other at one
     for genus in range(1, 5):
         for power in range(0, 7):
             for variant in ("original", "enhanced"):
                 word = family_braid(genus, power, variant, allow_extension_fixture=True)
                 calls = _eliminations(lambda: alexander_from_burau(word))
-                if (genus, variant) == (2, "enhanced") and power >= 3:
-                    assert calls > 1, (genus, power, variant)
-                else:
-                    assert calls == 1, (genus, power, variant, calls)
+                expected = 2 if (genus, power, variant) == (2, 6, "enhanced") else 1
+                assert calls == expected, (genus, power, variant, calls)
+
+
+def test_long_family_burau_determinants_take_several_points():
+    # past the example sweep the multi-point path keeps paying
+    for power, points in ((7, 3), (8, 4), (9, 6), (10, 7)):
+        word = family_braid(2, power, "enhanced")
+        assert _eliminations(lambda: alexander_from_burau(word)) == points, power
+
+
+def _minus(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(burau_words().flatmap(lambda w: st.tuples(st.just(w), st.integers(0, len(w.letters)))))
+@example((BraidWord(2, ()), 0))
+@example((BraidWord(3, (1, -2, 1, -2)), 3))
+@example((BraidWord(5, (2, -3, 1, 2, 3, 4, -1) * 10), 33))
+def test_determinant_from_the_two_half_words(drawn):
+    # rho(w) - I = rho(w1) (rho(w2) - rho(w1^-1)) and det rho(w1) = (-t)**e(w1)
+    w, drawn_split = drawn
+    n = w.strands
+    whole = det_laurent(_minus(reduced_burau(w), laurent_identity(n - 1)))
+    for h in {0, len(w.letters) // 2, len(w.letters), drawn_split}:
+        w1 = BraidWord(n, w.letters[:h])
+        w2 = BraidWord(n, w.letters[h:])
+        halves = det_laurent(_minus(reduced_burau(w2), reduced_burau(w1.inverse())))
+        unit = LaurentPoly.monomial(exponent_sum(w1), (-1) ** h)
+        assert whole == unit * halves, (w, h)
+
+
+def _knot(w):
+    """w followed by the letters sigma_i that each join two closure components."""
+    letters = w.letters
+    for i in range(1, w.strands):
+        longer = BraidWord(w.strands, letters + (i,))
+        if closure_components(longer) < closure_components(BraidWord(w.strands, letters)):
+            letters = longer.letters
+    return BraidWord(w.strands, letters)
+
+
+def _alexander_from_the_whole_word(word):
+    """The formula before the split: det(rho(w) - I) / (1 + ... + t^(n-1))."""
+    n = word.strands
+    det = det_laurent(_minus(reduced_burau(word), laurent_identity(n - 1)))
+    return det.exact_div(LaurentPoly(0, (1,) * n)).unit_normalized()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    burau_words().map(_knot).flatmap(
+        lambda w: st.integers(0, 6).map(
+            # (w w^-1)^k w is the same braid; its halves pass four chunks
+            lambda k: BraidWord(
+                w.strands, (w.letters + w.inverse().letters) * k + w.letters
+            )
+        )
+    )
+)
+@example(BraidWord(2, (1,)))
+@example(FIG8)
+@example(BraidWord(5, (2, -3, 1, 2, 3, 4, -1) * 10 + (1, -2, 3, 4) + (-1, 2, 3) * 20))
+# one half cancels in its product, so its bound alone is far too narrow
+# for the difference; the common slot needs the other half's bound too
+@example(BraidWord(3, (1, -2) * 34 + (2, -2) * 34))
+@example(BraidWord(3, (2, -2) * 34 + (1, -2) * 34))
+def test_alexander_from_the_half_words_matches_the_whole_word(w):
+    assert alexander_from_burau(w) == _alexander_from_the_whole_word(w)
 
 
 def test_reduced_burau_b2():
