@@ -67,16 +67,21 @@ words get negative definite symmetrized forms.  The Alexander polynomial
 det(S - t S^T) is an integer pencil, so it goes to `laurent.det_pencil`
 straight from the integer matrix.
 
-Signatures are computed exactly over the integers at omega = -1 (Descartes
-counting on the characteristic polynomial of the symmetrized form, which is
-real rooted) and in guarded floating point elsewhere on the unit circle.
-That branch is the only user of numpy and imports it itself, so importing
-braidkit (and starting the CLI) does not load numpy.
+Signatures are exact at every rational point omega = x + iy of the unit
+circle, omega = -1 included.  The form (1 - omega) S + (1 - conj omega) S^T
+is H = (1 - x)(S + S^T) + i y (S^T - S).  On the circle x and y share one
+denominator d > 0, and d H = A + iB is integral, A symmetric and B
+antisymmetric; a positive scalar moves no eigenvalue across 0.  At
+z = u + iv, z* (A + iB) z is the real form [[A, -B], [B, A]] at (u, v),
+whose spectrum is that of A + iB twice over: its signature is 2 sigma.
+Descartes' rule counts the positive roots of its real-rooted
+characteristic polynomial; a zero constant term means omega is a root of Delta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 
 from .braid import BraidWord, closure_components
@@ -309,42 +314,36 @@ def alexander_from_seifert(matrix: SeifertMatrix) -> LaurentPoly:
 
 
 class SignatureMarginError(ValueError):
-    """The evaluation point sits within the guard margin of a jump."""
+    """The evaluation point is a root of the Alexander polynomial."""
 
 
-def signature_function(matrix: SeifertMatrix, omega=-1, margin: float = 1e-9) -> int:
-    """Signature of (1-omega) S + (1-conj(omega)) S^T on the unit circle.
+def signature_function(matrix: SeifertMatrix, omega=-1) -> int:
+    """Signature of (1-omega) S + (1-conj(omega)) S^T, exactly.
 
-    At omega == -1 the computation is exact over the integers: Descartes
-    counting on the characteristic polynomial of S + S^T, which has only
-    real roots.  Elsewhere eigenvalues of the Hermitian form are computed in
-    floating point and any eigenvalue inside the margin raises.
+    omega is -1 or a pair (x, y) of ints or Fractions on the unit circle,
+    not (1, 0); see the module notes.  A root of Delta = det(S - t S^T)
+    raises SignatureMarginError.  A knot's form never does: Delta(1) = +-1,
+    and a rational point (p + ir)/q in lowest terms has q odd, so its
+    primitive minimal polynomial (q t**2 - 2p t + q, or t + 1) is even at 1
+    and, by Gauss's lemma, cannot divide Delta in Z[t].
     """
-    if matrix.size == 0:
-        return 0
-    if omega == -1:
-        sym = matrix.symmetrized()
-        p = charpoly(sym)
-        coeffs = list(p.coeffs)
-        if p.offset != 0 or (coeffs and coeffs[0] == 0):
-            raise SignatureMarginError("omega = -1 is a root of the Alexander polynomial")
-        pos = _descartes(coeffs)
-        neg = _descartes([c if i % 2 == 0 else -c for i, c in enumerate(coeffs)])
-        return pos - neg
-    omega = complex(omega)
-    if abs(abs(omega) - 1.0) > 1e-12 or omega == 1:
-        raise ValueError("signature is defined on the unit circle away from 1")
-    alex = alexander_from_seifert(matrix)
-    if abs(alex.eval(omega)) <= margin:
-        raise SignatureMarginError("omega is within the margin of an Alexander root")
-    import numpy as np
-
-    s = np.array(matrix.entries, dtype=float)
-    h = (1 - omega) * s + (1 - omega.conjugate()) * s.T
-    eigs = np.linalg.eigvalsh(h)
-    if np.any(np.abs(eigs) <= margin):
-        raise SignatureMarginError("eigenvalue within margin of zero")
-    return int(np.sum(eigs > 0) - np.sum(eigs < 0))
+    point = (-1, 0) if isinstance(omega, int) and omega == -1 else omega
+    pair = isinstance(point, tuple) and len(point) == 2
+    if not (pair and all(isinstance(c, (int, Fraction)) for c in point)):
+        raise ValueError("omega must be -1 or a pair (x, y) of ints or Fractions")
+    x, y = map(Fraction, point)
+    if x * x + y * y != 1 or (x, y) == (1, 0):
+        raise ValueError("omega must be a point of the unit circle other than 1")
+    a, b = x.denominator - x.numerator, y.numerator  # d (1 - x) and d y
+    s = matrix.entries
+    sym = [[a * v for v in row] for row in matrix.symmetrized()]
+    skew = [[b * (u - v) for u, v in zip(row, col)] for row, col in zip(s, zip(*s))]  # -B
+    real = [r + k for r, k in zip(sym, skew)] + [[-v for v in k] + r for r, k in zip(sym, skew)]
+    p = charpoly(real)
+    if p.offset:  # a zero constant term is trimmed into the offset
+        raise SignatureMarginError("omega is a root of the Alexander polynomial")
+    # the 2m roots are real and nonzero, so (positive - negative) / 2 = positive - m
+    return _descartes(p.coeffs) - matrix.size
 
 
 def _descartes(coeffs: list[int]) -> int:

@@ -117,6 +117,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import index
 
 
 def _trim(offset: int, coeffs: list[int]) -> tuple[int, tuple[int, ...]]:
@@ -603,8 +604,8 @@ def det_pencil(a, b) -> LaurentPoly:
         raise ValueError("determinant of a non-square pencil")
     if n == 0:
         return LaurentPoly.one()
-    a = [[int(x) for x in row] for row in a]
-    b = [[int(y) for y in row] for row in b]
+    a = [[index(x) for x in row] for row in a]
+    b = [[index(y) for y in row] for row in b]
     bits = _det_slot_bits(
         sum((abs(x) + abs(y)) ** 2 for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
@@ -619,7 +620,7 @@ def det_pencil(a, b) -> LaurentPoly:
 def charpoly(matrix) -> LaurentPoly:
     """Characteristic polynomial det(t*I - M) of an integer matrix, exactly."""
     n = len(matrix)
-    minus = [[-int(x) for x in row] for row in matrix]
+    minus = [[-index(x) for x in row] for row in matrix]
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     return det_pencil(minus, identity)
 

@@ -1,18 +1,20 @@
 """Burau and Seifert pipelines: Alexander polynomials, determinants, signatures."""
 
-import cmath
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from braidkit import invariants, laurent
 from braidkit.braid import BraidWord, closure_components, exponent_sum, family_braid
+from braidkit.coverlift import ChainSurface, lift_homological, seifert_from_monodromy
 from braidkit.invariants import (
     SeifertMatrix,
     SignatureMarginError,
@@ -378,23 +380,94 @@ def test_signatures_match_tables():
 
 
 def test_signature_off_minus_one_jumps_at_the_alexander_roots():
-    # the trefoil's Alexander roots sit at exp(+-i pi/3): the floating-point
-    # branch reads 0 before the root and the omega = -1 value after it
+    # the trefoil's Alexander roots sit at exp(+-i pi/3), between (4/5, 3/5)
+    # and (0, 1): the signature reads 0 before the root and the omega = -1
+    # value after it
     form = brick_seifert(TREFOIL)
-    assert signature_function(form, cmath.exp(0.25j * cmath.pi)) == 0
-    assert signature_function(form, 1j) == -2
-    assert signature_function(form, cmath.exp(0.9j * cmath.pi)) == -2
+    assert signature_function(form, (Fraction(4, 5), Fraction(3, 5))) == 0
+    assert signature_function(form, (0, 1)) == -2
+    assert signature_function(form, (Fraction(-4, 5), Fraction(3, 5))) == -2
+
+
+def test_signature_takes_exact_points_of_the_circle():
+    # the zero form is singular at every point
+    with pytest.raises(SignatureMarginError):
+        signature_function(SeifertMatrix(((0, 0), (0, 0))), (0, 1))
+    form = brick_seifert(TREFOIL)
+    for omega in (1j, -1.0, (0.6, 0.8), (1, 1), (Fraction(1, 2), Fraction(1, 2)), (1, 0)):
+        with pytest.raises(ValueError) as excinfo:
+            signature_function(form, omega)
+        assert excinfo.type is ValueError, omega
+
+
+def circle_points():
+    """(-1, 0) and the rational points ((1 - s^2) / (1 + s^2), 2s / (1 + s^2)), s != 0."""
+    s = st.fractions(-20, 20, max_denominator=30).filter(lambda s: s != 0)
+    return st.just((-1, 0)) | s.map(lambda s: ((1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=m, max_size=m
+        )
+    ),
+    circle_points(),
+)
+def test_exact_signature_matches_floating_point_eigenvalues(rows, point):
+    numpy = pytest.importorskip("numpy")
+    s = numpy.array(rows, dtype=float)
+    omega = complex(*map(float, point))
+    eigs = numpy.linalg.eigvalsh((1 - omega) * s + (1 - omega.conjugate()) * s.T)
+    # a float eigenvalue this close to 0 decides nothing
+    assume(min(abs(eigs)) > 1e-7)
+    expected = int(numpy.sum(eigs > 0) - numpy.sum(eigs < 0))
+    assert signature_function(SeifertMatrix(tuple(map(tuple, rows))), point) == expected
+
+
+def family_seifert_forms():
+    def form(case):
+        genus, power, variant = case
+        surface = ChainSurface(genus)
+        word = family_braid(genus, power, variant, allow_extension_fixture=True)
+        lift = lift_homological(word, surface)
+        return SeifertMatrix(seifert_from_monodromy(lift, surface))
+
+    cases = st.tuples(
+        st.integers(1, 4), st.integers(0, 10), st.sampled_from(["original", "enhanced"])
+    )
+    return cases.map(form)
+
+
+@settings(max_examples=200, deadline=None)
+@given(homogeneous_knot_words().map(brick_seifert) | family_seifert_forms(), circle_points())
+def test_knot_signatures_never_raise_and_are_conjugation_symmetric(form, point):
+    # Delta(1) = +-1 keeps every rational point of the circle off the roots
+    # of Delta, and the form at conj(omega) is the transpose of the form at
+    # omega, with the same eigenvalues
+    x, y = point
+    assert signature_function(form, (x, y)) == signature_function(form, (x, -y))
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    # only the floating-point signature branch uses numpy, and imports it there
-    code = "import sys, braidkit.cli; print('numpy' in sys.modules)"
+    # braidkit has no runtime dependency: with site-packages off (-S),
+    # importing every submodule loads the standard library and braidkit only
+    code = (
+        "import importlib, json, pkgutil, sys, braidkit\n"
+        "for m in pkgutil.walk_packages(braidkit.__path__, 'braidkit.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.strip() == "False"
+    loaded = json.loads(result.stdout)
+    assert "braidkit.cli" in loaded and "numpy" not in loaded
+    tops = {name.partition(".")[0] for name in loaded}
+    assert tops - {"__main__"} <= set(sys.stdlib_module_names) | {"braidkit"}
 
 
 def test_signature_margin_guard():

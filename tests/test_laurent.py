@@ -726,6 +726,16 @@ def test_det_pencil_rejects_a_non_square_pencil():
         det_pencil([[1]], [[1], [2]])
 
 
+def test_pencil_entries_that_are_not_integers_raise():
+    # int() would drop the fractional parts: t, 2 + t and 0
+    with pytest.raises(TypeError):
+        charpoly([[Fraction(1, 2)]])
+    with pytest.raises(TypeError):
+        det_pencil([[2.7]], [[1]])
+    with pytest.raises(TypeError):
+        alexander_from_seifert(SeifertMatrix(((0.5, 0), (0, 0.5))))
+
+
 # -- several narrow slots ------------------------------------------------
 #
 # With POINT_OPERAND_BITS patched down, small matrices take the multi-point
