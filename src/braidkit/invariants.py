@@ -247,8 +247,7 @@ class SeifertMatrix:
 
     def symmetrized(self) -> tuple[tuple[int, ...], ...]:
         s = self.entries
-        n = self.size
-        return tuple(tuple(s[i][j] + s[j][i] for j in range(n)) for i in range(n))
+        return tuple(tuple(u + v for u, v in zip(row, col)) for row, col in zip(s, zip(*s)))
 
 
 # Adjacent-column bricks meet once on the surface; the asymmetric unit goes
@@ -336,10 +335,11 @@ def signature_function(matrix: SeifertMatrix, omega=-1) -> int:
         raise ValueError("omega must be a point of the unit circle other than 1")
     a, b = x.denominator - x.numerator, y.numerator  # d (1 - x) and d y
     s = matrix.entries
-    sym = [[a * v for v in row] for row in matrix.symmetrized()]
-    skew = [[b * (u - v) for u, v in zip(row, col)] for row, col in zip(s, zip(*s))]  # -B
-    real = [r + k for r, k in zip(sym, skew)] + [[-v for v in k] + r for r, k in zip(sym, skew)]
-    p = charpoly(real)
+    big_a = [[a * v for v in row] for row in matrix.symmetrized()]
+    big_b = [[b * (v - u) for u, v in zip(row, col)] for row, col in zip(s, zip(*s))]
+    top = [ra + [-v for v in rb] for ra, rb in zip(big_a, big_b)]  # [A, -B]
+    bottom = [rb + ra for ra, rb in zip(big_a, big_b)]  # [B, A]
+    p = charpoly(top + bottom)
     if p.offset:  # a zero constant term is trimmed into the offset
         raise SignatureMarginError("omega is a root of the Alexander polynomial")
     # the 2m roots are real and nonzero, so (positive - negative) / 2 = positive - m

@@ -451,23 +451,29 @@ def test_knot_signatures_never_raise_and_are_conjugation_symmetric(form, point):
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    # braidkit has no runtime dependency: with site-packages off (-S),
-    # importing every submodule loads the standard library and braidkit only
-    code = (
-        "import importlib, json, pkgutil, sys, braidkit\n"
+    # braidkit has no runtime dependency: in an interpreter that could import
+    # numpy, importing every submodule loads none of it, and every module it
+    # adds to those a bare interpreter starts with (site hooks included) is
+    # from the standard library or braidkit
+    walk = (
+        "import importlib, pkgutil, braidkit\n"
         "for m in pkgutil.walk_packages(braidkit.__path__, 'braidkit.'):\n"
         "    importlib.import_module(m.name)\n"
-        "print(json.dumps(sorted(sys.modules)))"
     )
+    dump = "import json, sys\nprint(json.dumps(sorted(sys.modules)))"
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    loaded = json.loads(result.stdout)
+
+    def modules(code):
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        return set(json.loads(result.stdout))
+
+    baseline, loaded = modules(dump), modules(walk + dump)
     assert "braidkit.cli" in loaded and "numpy" not in loaded
-    tops = {name.partition(".")[0] for name in loaded}
-    assert tops - {"__main__"} <= set(sys.stdlib_module_names) | {"braidkit"}
+    tops = {name.partition(".")[0] for name in loaded - baseline}
+    assert tops <= set(sys.stdlib_module_names) | {"braidkit"}
 
 
 def test_signature_margin_guard():
