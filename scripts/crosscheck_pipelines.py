@@ -49,6 +49,24 @@ def main(argv=None) -> int:
     )
     args = ap.parse_args(argv)
 
+    if args.count < 1:
+        print(f"error: --count {args.count} is below 1", file=sys.stderr)
+        return 1
+    if args.max_strands < 2:
+        print(f"error: --max-strands {args.max_strands} is below 2", file=sys.stderr)
+        return 1
+    # the length is drawn from n - 1 .. max-len for every n <= max-strands;
+    # a word on n strands has length + n - 1 letters, and its permutation
+    # is an n-cycle, of parity n - 1, only for an even length, so a knot
+    # needs max-len >= 2
+    least_len = max(2, args.max_strands - 1)
+    if args.max_len < least_len:
+        print(
+            f"error: --max-len {args.max_len} is below {least_len}, the least "
+            f"that gives knots on up to {args.max_strands} strands",
+            file=sys.stderr,
+        )
+        return 1
     rng = random.Random(args.seed)
     mismatches = 0
     for index in range(args.count):

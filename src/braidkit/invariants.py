@@ -16,8 +16,7 @@ homomorphism and det rho(w1) = (-t)**e(w1), e the exponent sum, so
 and the unit goes with the final normalization.  Each entry of the
 difference has about half the coefficients and half the bits of an entry
 of rho(w), and the determinant's packed operands shrink with both (at
-genus 2, power 6, enhanced, its Hadamard slot goes from 395 to 202 bits
-and its narrow points from 10 to 2).
+genus 2, power 6, enhanced, its Hadamard slot goes from 395 to 202 bits).
 
 The product is evaluated at t = 2**B, one integer per entry (Kronecker
 substitution).  A letter's matrix differs from the identity in one column,

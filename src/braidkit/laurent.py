@@ -57,38 +57,14 @@ rounded up.  For a pencil, |A_ij + t*B_ij|_1 = |A_ij| + |B_ij|.  Since
 sum x**2 <= (sum x)**2, the bound is never wider than the product of the
 row l1 norms.
 
-That bound is often far above the coefficients themselves (the Burau
-determinants of the stirred families have coefficients of one bit on
-slots of hundreds), and every Bareiss operand is as long as the longest
-entry times the slot.  So when the longest entry packs to L * B bits with
-k = floor(L * B / POINT_OPERAND_BITS) >= 2, `_det_at_points` first tries k
-narrow slots, then certifies what it reads.  Let D = t**(-n*shift) * det P,
-a polynomial with at most T coefficients, each below h = 2**(B - 2) (the
-slot holds the Hadamard bound with two bits to spare).
-
-- Take distinct slots b_1 > ... > b_k whose sum is at least
-  B + bit_length(T) // 2, and compute V_i = D(2**b_i) with the same
-  packing and elimination.
-- Let D' be the balanced base-2**b_1 digits of V_1 and c = max |D'|.
-- Accept D' when it packs to V_i at every other slot and
-  2**(2 * sum b_i) > max(T, len D') * (h + c)**2.
-
-Then R = D - D' vanishes at the k distinct points 2**b_i, so if R is not
-zero the monic prod_i (t - 2**b_i) divides it in Z[t], and the Mahler
-measure of R is at least 2**(sum b_i), the cofactor being a nonzero integer
-polynomial of measure >= 1.  Landau's inequality bounds that measure by
-||R||_2 <= sqrt(max(T, len D')) * (h + c), which the acceptance condition
-puts below 2**(sum b_i): so R = 0 and D' = D (Mignotte, Mathematics for
-Computer Algebra, section 4).  Otherwise the one Hadamard slot runs, which
-is the price of a determinant whose coefficients overflow the narrow
-slots.  The cross-check is what catches such an overflow; the Landau
-condition guards the rare case where a wrong D' still matched every slot,
-which random matrices do not reach, and is a proof step rather than a
-tested branch.  The Burau determinants come from the two half-words (see
-`invariants`), and POINT_OPERAND_BITS = 8192 gives 2 points on the
-largest of the example sweep (genus 2, enhanced, power 6), one slot on
-every other determinant there and on every pencil of `monodromy-lift`,
-and 3, 4, 6 and 7 points at powers 7 to 10 of the acceptance grid.
+That bound is often far above the coefficients themselves, and every
+Bareiss operand is as long as the longest entry times the slot.  One slot
+still suffices, because the Burau determinants come from the two
+half-words (see `invariants`), whose entries are short: evaluating at
+several narrower slots and certifying the result pays only at genus 2,
+enhanced, powers 6 to 10 of the example sweep, the acceptance grid and
+`monodromy-lift`, where it saves 0.5 to 5 ms of determinants of 3 to
+14 ms (best of 15, interleaved, 2-core Xeon host).
 
 The packing lives here alone.  `slot_bits(bound)` is the slot width whose
 balanced digits, in [-2**(B-1), 2**(B-1)), hold every integer of size at
@@ -166,7 +142,7 @@ class LaurentPoly:
 
     @staticmethod
     def from_coeffs(coeffs, offset: int = 0) -> "LaurentPoly":
-        return LaurentPoly(offset, tuple(int(c) for c in coeffs))
+        return LaurentPoly(offset, tuple(index(c) for c in coeffs))
 
     @staticmethod
     def from_packed(value: int, bits: int, offset: int = 0) -> "LaurentPoly":
@@ -342,14 +318,6 @@ class LaurentPoly:
 
     # -- serialization ----------------------------------------------------
 
-    def to_pair(self) -> tuple[int, list[int]]:
-        return (self.offset, list(self.coeffs))
-
-    @staticmethod
-    def from_pair(pair) -> "LaurentPoly":
-        offset, coeffs = pair
-        return LaurentPoly(int(offset), tuple(int(c) for c in coeffs))
-
     def to_text(self) -> str:
         return f"{self.offset}|" + " ".join(str(c) for c in self.coeffs)
 
@@ -518,49 +486,6 @@ def _bareiss_det(values: list[list[int]], exps: list[list[int]]) -> int:
     return sign * values[n - 1][n - 1] << exps[n - 1][n - 1]
 
 
-# Packed operand bits per evaluation point: a determinant whose longest
-# entry has L coefficients, at a slot of B bits, is evaluated at
-# floor(L * B / POINT_OPERAND_BITS) narrow slots when that is at least 2
-# (see the module notes).  On the half-word Burau determinants 4096 and
-# 16384 give `wall_s` within about 1% of this on both the example sweep
-# and the acceptance grid (three alternating 20 s perfbench runs each),
-# neither better on both.
-POINT_OPERAND_BITS = 8192
-
-
-def _kronecker_det(pack, bits: int, longest: int, terms) -> list[int]:
-    """Coefficients of a determinant polynomial D in Z[t], lowest first.
-
-    pack(b) gives the (values, exps) of the matrix whose determinant is
-    D(2**b); bits is the Hadamard slot of D and longest the length of the
-    longest entry.  terms() bounds the number of coefficients of D; it is
-    called only when several slots are tried.
-    """
-    points = longest * bits // POINT_OPERAND_BITS
-    if points > 1:
-        digits = _det_at_points(pack, bits, terms(), points)
-        if digits is not None:
-            return digits
-    return _unpack(_bareiss_det(*pack(bits)), bits)
-
-
-def _det_at_points(pack, bits: int, terms: int, points: int) -> list[int] | None:
-    """D read off `points` distinct narrow slots and certified by the
-    cross-check and the Landau condition of the module notes, or None."""
-    need = bits + terms.bit_length() // 2
-    low = max(2, -(-(need - points * (points - 1) // 2) // points))
-    slots = range(low + points - 1, low - 1, -1)
-    digits = _unpack(_bareiss_det(*pack(slots[0])), slots[0])
-    for b in slots[1:]:
-        if _pack(digits, b) != _bareiss_det(*pack(b)):
-            return None
-    h = 1 << (bits - 2)
-    c = max(map(abs, digits), default=0)
-    if 1 << (2 * sum(slots)) <= max(terms, len(digits)) * (h + c) ** 2:
-        return None
-    return digits
-
-
 def det_laurent(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     """Exact determinant of a square matrix of Laurent polynomials."""
     n = len(matrix)
@@ -569,27 +494,14 @@ def det_laurent(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     for row in matrix:
         if len(row) != n:
             raise ValueError("determinant of a non-square matrix")
-    entries = [p for row in matrix for p in row if p.coeffs]
-    shift = min((p.offset for p in entries), default=0)
+    shift = min((p.offset for row in matrix for p in row if p.coeffs), default=0)
     bits = _det_slot_bits(
         sum(sum(map(abs, p.coeffs)) ** 2 for p in row) for row in matrix
     )
-
-    def pack(b):
-        # t**-shift * p at t = 2**b is the packed p times 2**(b*(offset - shift))
-        values = [[_pack(p.coeffs, b) for p in row] for row in matrix]
-        exps = [[b * (p.offset - shift) for p in row] for row in matrix]
-        return values, exps
-
-    def terms():
-        # every entry of t**-shift * P has degree < top, so D = t**(-n*shift)
-        # * det P has at most n * (top - 1) + 1 coefficients
-        top = max(p.offset + len(p.coeffs) for p in entries) - shift
-        return n * (top - 1) + 1
-
-    longest = max((len(p.coeffs) for p in entries), default=0)
-    digits = _kronecker_det(pack, bits, longest, terms)
-    return LaurentPoly(n * shift, tuple(digits))
+    # t**-shift * p at t = 2**bits is the packed p times 2**(bits*(offset - shift))
+    values = [[_pack(p.coeffs, bits) for p in row] for row in matrix]
+    exps = [[bits * (p.offset - shift) for p in row] for row in matrix]
+    return LaurentPoly(n * shift, _unpack(_bareiss_det(values, exps), bits))
 
 
 def det_pencil(a, b) -> LaurentPoly:
@@ -609,12 +521,9 @@ def det_pencil(a, b) -> LaurentPoly:
     bits = _det_slot_bits(
         sum((abs(x) + abs(y)) ** 2 for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
-
-    def pack(s):
-        values = [[x + (y << s) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        return values, [[0] * n for _ in range(n)]
-
-    return LaurentPoly(0, tuple(_kronecker_det(pack, bits, 2, lambda: n + 1)))
+    values = [[x + (y << bits) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    exps = [[0] * n for _ in range(n)]
+    return LaurentPoly(0, _unpack(_bareiss_det(values, exps), bits))
 
 
 def charpoly(matrix) -> LaurentPoly:

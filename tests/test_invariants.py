@@ -187,23 +187,14 @@ def _eliminations(compute):
 
 
 def test_example_sweep_burau_determinants_pick_their_slots():
-    # the example sweep's 56 Burau determinants, taken on the two half-words:
-    # genus 2, enhanced, power 6 is evaluated at two narrow slots, every
-    # other at one
-    for genus in range(1, 5):
-        for power in range(0, 7):
+    # every acceptance-grid word, the example sweep's 56 among them, is one
+    # elimination at one slot on the two half-words
+    for genus in range(1, 7):
+        for power in range(0, 11):
             for variant in ("original", "enhanced"):
                 word = family_braid(genus, power, variant, allow_extension_fixture=True)
                 calls = _eliminations(lambda: alexander_from_burau(word))
-                expected = 2 if (genus, power, variant) == (2, 6, "enhanced") else 1
-                assert calls == expected, (genus, power, variant, calls)
-
-
-def test_long_family_burau_determinants_take_several_points():
-    # past the example sweep the multi-point path keeps paying
-    for power, points in ((7, 3), (8, 4), (9, 6), (10, 7)):
-        word = family_braid(2, power, "enhanced")
-        assert _eliminations(lambda: alexander_from_burau(word)) == points, power
+                assert calls == 1, (genus, power, variant, calls)
 
 
 def _minus(a, b):
@@ -500,16 +491,44 @@ def test_genus_bound():
     )
 
 
-def test_crosscheck_script_smoke(capsys):
-    # the Burau slot path against the Seifert pencil path on random
-    # homogeneous knots, through the script's own entry point
+def _crosscheck_script():
     path = Path(__file__).resolve().parent.parent / "scripts" / "crosscheck_pipelines.py"
     spec = importlib.util.spec_from_file_location("crosscheck_pipelines", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_crosscheck_script_smoke(capsys):
+    # the Burau slot path against the Seifert pencil path on random
+    # homogeneous knots, through the script's own entry point
+    script = _crosscheck_script()
     start = time.perf_counter()
     code = script.main(["--count", "300", "--max-strands", "7", "--max-len", "24"])
     elapsed = time.perf_counter() - start
     assert code == 0
     assert "300 words, 0 mismatches" in capsys.readouterr().out
     assert elapsed < 2.0
+
+
+def test_crosscheck_script_rejects_bad_ranges(capsys):
+    # ranges that give a randrange traceback, a search that finds no knot,
+    # or a run over no words
+    script = _crosscheck_script()
+    for argv, message in (
+        (["--count", "-4"], "--count -4 is below 1"),
+        (["--count", "0"], "--count 0 is below 1"),
+        (["--max-strands", "1"], "--max-strands 1 is below 2"),
+        (["--max-len", "0"], "--max-len 0 is below 4"),
+        (["--max-strands", "7", "--max-len", "5"], "--max-len 5 is below 6"),
+        # two strands and one letter beside sigma_1 make only 2-component links
+        (["--max-strands", "2", "--max-len", "1"], "--max-len 1 is below 2"),
+    ):
+        assert script.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert message in captured.err and "words" not in captured.out, argv
+    # the least valid ranges run
+    for strands, length in (("2", "2"), ("3", "2"), ("4", "3")):
+        argv = ["--count", "3", "--max-strands", strands, "--max-len", length]
+        assert script.main(argv) == 0, argv
+        assert "3 words, 0 mismatches" in capsys.readouterr().out, argv

@@ -47,6 +47,14 @@ def test_construction_and_trim():
     assert LaurentPoly.from_coeffs([0, 0]).is_zero()
 
 
+def test_from_coeffs_rejects_non_integers():
+    # int() would truncate [1/2, 1.9, 2] to 0, 1, 2
+    with pytest.raises(TypeError):
+        LaurentPoly.from_coeffs([Fraction(1, 2), 2])
+    with pytest.raises(TypeError):
+        LaurentPoly.from_coeffs([1.9, 2])
+
+
 def test_basic_identities():
     t = LaurentPoly.t()
     one = LaurentPoly.one()
@@ -120,7 +128,6 @@ def test_text_round_trip_fixed():
 @given(small_polys)
 def test_text_round_trip(p):
     assert LaurentPoly.from_text(p.to_text()) == p
-    assert LaurentPoly.from_pair(p.to_pair()) == p
 
 
 @given(small_polys, small_polys, small_polys)
@@ -582,19 +589,29 @@ _ROW_SCALES = {
 }
 
 
-def _slots_of(compute):
-    """Run compute() and return the slot widths its determinants used."""
-    seen = []
-    real = laurent._det_slot_bits
+def _one_slot(compute):
+    """compute(), its one slot width and its one elimination's value.
 
-    def record(row_squares):
-        seen.append(real(row_squares))
-        return seen[-1]
+    Fails unless compute() sized exactly one slot and ran exactly one
+    elimination.
+    """
+    slots, values = [], []
+    real_slot, real_det = laurent._det_slot_bits, laurent._bareiss_det
+
+    def slot(row_squares):
+        slots.append(real_slot(row_squares))
+        return slots[-1]
+
+    def eliminate(rows, exps):
+        values.append(real_det(rows, exps))
+        return values[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(laurent, "_det_slot_bits", record)
-        compute()
-    return seen
+        patch.setattr(laurent, "_det_slot_bits", slot)
+        patch.setattr(laurent, "_bareiss_det", eliminate)
+        result = compute()
+    assert len(slots) == len(values) == 1
+    return result, slots[0], values[0]
 
 
 @pytest.mark.parametrize("kind", list(_ROW_SCALES))
@@ -668,13 +685,13 @@ def test_det_of_randomly_scaled_hadamard_rows(case):
 def test_det_slot_is_the_rounded_up_hadamard_bound():
     # rows with squared l1 norms 10 and 1: the bound is ceil(sqrt(10)) = 4
     zeros = [[0, 0], [0, 0]]
-    assert _slots_of(lambda: det_pencil([[1, 3], [1, 0]], zeros)) == [slot_bits(4)]
+    assert _one_slot(lambda: det_pencil([[1, 3], [1, 0]], zeros))[1] == slot_bits(4)
     one, zero = LaurentPoly.one(), LaurentPoly.zero()
     m = [[one, LaurentPoly(2, (1, -2))], [one, zero]]
-    assert _slots_of(lambda: det_laurent(m)) == [slot_bits(4)]
+    assert _one_slot(lambda: det_laurent(m))[1] == slot_bits(4)
     # H_8 + tH_8: eight rows of squared norm 8 * 2**2, so the bound is 2**20
     h = _sylvester(8)
-    assert _slots_of(lambda: det_pencil(h, h)) == [slot_bits(2**20)]
+    assert _one_slot(lambda: det_pencil(h, h))[1] == slot_bits(2**20)
 
 
 def _row_l1_slot(norms):
@@ -689,8 +706,12 @@ def _row_l1_slot(norms):
 def test_pencil_slot_is_never_wider_than_the_row_l1_slot(case):
     a, b = case
     norms = [[abs(x) + abs(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    (slot,) = _slots_of(lambda: det_pencil(a, b))
+    det, slot, value = _one_slot(lambda: det_pencil(a, b))
     assert slot <= _row_l1_slot(norms)
+    # the one elimination runs at that slot: its value is det at t = 2**slot
+    assert value == det.eval_int(1 << slot)
+    poly, slot, value = _one_slot(lambda: charpoly(a))
+    assert value == poly.eval_int(1 << slot)
 
 
 @settings(max_examples=60, deadline=None)
@@ -703,7 +724,7 @@ def test_pencil_slot_is_never_wider_than_the_row_l1_slot(case):
 )
 def test_laurent_slot_is_never_wider_than_the_row_l1_slot(m):
     norms = [[sum(map(abs, p.coeffs)) for p in row] for row in m]
-    (slot,) = _slots_of(lambda: det_laurent(m))
+    slot = _one_slot(lambda: det_laurent(m))[1]
     assert slot <= _row_l1_slot(norms)
 
 
@@ -712,10 +733,10 @@ def test_genus_ten_fibred_slots():
     # slot is 121 bits, and the Seifert pencil's 79
     surface = ChainSurface(10)
     lift = lift_homological(family_braid(10, 10, "original"), surface)
-    (slot,) = _slots_of(lambda: charpoly(lift))
+    slot = _one_slot(lambda: charpoly(lift))[1]
     assert slot <= 121
     seifert = SeifertMatrix(seifert_from_monodromy(lift, surface))
-    (slot,) = _slots_of(lambda: alexander_from_seifert(seifert))
+    slot = _one_slot(lambda: alexander_from_seifert(seifert))[1]
     assert slot <= 79
 
 
@@ -736,38 +757,26 @@ def test_pencil_entries_that_are_not_integers_raise():
         alexander_from_seifert(SeifertMatrix(((0.5, 0), (0, 0.5))))
 
 
-# -- several narrow slots ------------------------------------------------
+# -- one slot per determinant -------------------------------------------
 #
-# With POINT_OPERAND_BITS patched down, small matrices take the multi-point
-# path: D read off the widest of several narrow slots, cross-checked at the
-# others and accepted under the Landau condition, else the one Hadamard slot.
+# Every determinant is one elimination at its Hadamard slot; these are the
+# oracle tests for wide entries, large coefficients and singular matrices.
 
 
-def _det_with_point_bits(m, point_bits):
-    """det_laurent(m) at POINT_OPERAND_BITS = point_bits, and its eliminations."""
-    calls = []
-    real = laurent._bareiss_det
+def _det_at_one_slot(m):
+    """det_laurent(m), checked to be read off one elimination at its slot.
 
-    def count(values, exps):
-        calls.append(None)
-        return real(values, exps)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(laurent, "POINT_OPERAND_BITS", point_bits)
-        patch.setattr(laurent, "_bareiss_det", count)
-        det = det_laurent(m)
-    return det, len(calls)
+    The elimination's value is D(2**bits), D = t**(-n*shift) * det with
+    shift the least offset of a nonzero entry.
+    """
+    det, bits, value = _one_slot(lambda: det_laurent(m))
+    shift = min((p.offset for row in m for p in row if p.coeffs), default=0)
+    assert value == det.shifted(-len(m) * shift).eval_int(1 << bits)
+    return det
 
 
-def _points_for(m, point_bits):
-    (bits,) = _slots_of(lambda: det_laurent(m))
-    longest = max((len(p.coeffs) for row in m for p in row), default=0)
-    return longest * bits // point_bits
-
-
-# coefficients up to 2**30 make determinant coefficients that overflow the
-# narrow slots, so those matrices must fall back
-_multipoint_entry = st.one_of(
+# coefficients up to 2**30 give determinant coefficients of over a hundred bits
+_large_entry = st.one_of(
     st.just(LaurentPoly.zero()),
     small_polys,
     st.builds(
@@ -779,10 +788,10 @@ _multipoint_entry = st.one_of(
 
 
 @st.composite
-def multipoint_matrices(draw):
+def large_coefficient_matrices(draw):
     """Square Laurent matrices; a singular one repeats a row times a polynomial."""
     n = draw(st.integers(1, 4))
-    m = [[draw(_multipoint_entry) for _ in range(n)] for _ in range(n)]
+    m = [[draw(_large_entry) for _ in range(n)] for _ in range(n)]
     if n > 1 and draw(st.booleans()):
         src, dst = draw(st.permutations(range(n)))[:2]
         factor = draw(small_polys)
@@ -794,8 +803,8 @@ def multipoint_matrices(draw):
 def unit_determinant_matrices(draw):
     """L * U with L unit lower triangular and U upper with +-t**k diagonal.
 
-    The entries are long and large, the determinant a single monomial, so
-    narrow slots hold it and the multi-point path is accepted.
+    The entries are long and large, the determinant a single monomial, far
+    below the Hadamard bound of the entries.
     """
     n = draw(st.integers(2, 4))
     entry = st.builds(
@@ -830,51 +839,38 @@ def unit_determinant_matrices(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(multipoint_matrices(), st.sampled_from([4, 16, 64]))
-def test_multipoint_det_matches_one_slot_and_cofactor(m, point_bits):
-    det, _ = _det_with_point_bits(m, point_bits)
-    assert det == det_laurent(m) == _cofactor_det(m)
+@given(large_coefficient_matrices())
+def test_det_of_large_coefficient_matrices_takes_one_slot(m):
+    assert _det_at_one_slot(m) == _cofactor_det(m)
 
 
 @settings(max_examples=60, deadline=None)
-@given(unit_determinant_matrices(), st.sampled_from([16, 64, 256]))
-def test_multipoint_det_is_accepted_when_the_slots_hold_it(case, point_bits):
+@given(unit_determinant_matrices())
+def test_det_of_unit_determinant_matrices_takes_one_slot(case):
     m, expected = case
-    det, calls = _det_with_point_bits(m, point_bits)
-    assert det == expected == _cofactor_det(m)
-    points = _points_for(m, point_bits)
-    # one elimination per slot and no fallback
-    assert calls == (points if points > 1 else 1)
+    assert _det_at_one_slot(m) == expected == _cofactor_det(m)
 
 
-def test_multipoint_det_falls_back_when_a_coefficient_overflows():
-    # det = big**2 * t**2 - 1 on a wide Hadamard slot: the narrow slots
-    # cannot hold big**2, the cross-check refuses, the one slot runs
+def test_det_with_large_determinant_coefficients_takes_one_slot():
+    # det = big**2 * t**2 - 1 on a wide Hadamard slot
     big = 2**40 + 3
     a = LaurentPoly(0, (5, -7, 1, 3, 0, 2, 1, big))
     m = [
         [a.shifted(1) * LaurentPoly.constant(big), LaurentPoly.one()],
         [LaurentPoly.one(), a.shifted(1)],
     ]
-    expected = _cofactor_det(m)
-    points = _points_for(m, 16)
-    assert points > 2
-    det, calls = _det_with_point_bits(m, 16)
-    assert det == expected
-    assert 2 < calls <= points + 1
+    assert _det_at_one_slot(m) == _cofactor_det(m)
     # a determinant that is a single large constant, on one 1 x 1 entry
-    det, calls = _det_with_point_bits([[LaurentPoly.constant(2**37)]], 4)
-    assert det == LaurentPoly.constant(2**37) and calls > 2
+    constant = LaurentPoly.constant(2**37)
+    assert _det_at_one_slot([[constant]]) == constant
 
 
-def test_multipoint_det_of_singular_and_zero_matrices():
+def test_det_of_singular_and_zero_matrices_takes_one_slot():
     big = LaurentPoly(-2, (2**50, -(2**50), 7, 1, 1, 1, 1, 1))
     row = [big, LaurentPoly.t(), big * big]
     m = [row, [p.shifted(3) for p in row], [LaurentPoly.one(), big, LaurentPoly.t()]]
-    assert _points_for(m, 16) > 1
-    assert _det_with_point_bits(m, 16)[0].is_zero()
-    zero = [[LaurentPoly.zero()] * 2] * 2
-    assert _det_with_point_bits(zero, 1) == (LaurentPoly.zero(), 1)
+    assert _det_at_one_slot(m).is_zero()
+    assert _det_at_one_slot([[LaurentPoly.zero()] * 2] * 2).is_zero()
 
 
 def test_charpoly_known_matrices():
