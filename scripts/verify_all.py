@@ -6,9 +6,10 @@ Typical use:
     python scripts/verify_all.py --genus 1 --max-genus 4 --power 0
     python scripts/verify_all.py --genus 2 --json out.json
 
-Checks that only exist at genus 2 are skipped elsewhere, and the growth
-check is skipped at genus 1 where the family does not depend on the
-power; both are reported as skips rather than counted against the run.
+A check is skipped at the genera its registration excludes (genus 2 only
+for the two homology checks, genus 2 and up for the growth check, since
+the genus 1 family does not depend on the power); skips are reported
+rather than counted against the run.
 Exit code follows the check contract: 0 all verified, 1 any error or
 refutation, 2 inconclusive.
 """
@@ -20,20 +21,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from braidkit.checks import check_names, exit_code_for, run_check
+from braidkit.checks import applies_at, check_names, exit_code_for, run_check
 from braidkit.report import build_report, canonical_json
-
-GENUS_TWO_ONLY = {"homology-invariance", "alexander-module"}
-# constant family at genus 1, nothing to measure
-NEEDS_STIRRING = {"growth-proxy"}
-
-
-def _applicable(name: str, genus: int) -> bool:
-    if genus != 2 and name in GENUS_TWO_ONLY:
-        return False
-    if genus == 1 and name in NEEDS_STIRRING:
-        return False
-    return True
 
 
 def main(argv=None) -> int:
@@ -62,7 +51,7 @@ def main(argv=None) -> int:
     skipped = 0
     for genus in range(args.genus, last + 1):
         for name in check_names():
-            if not _applicable(name, genus):
+            if not applies_at(name, genus):
                 skipped += 1
                 continue
             params = {

@@ -16,7 +16,6 @@ from .braid import (
     Permutation,
     build_family,
     closure_components,
-    default_phi_extension,
     enhanced_phi,
     enhanced_pi,
     exponent_sum,

@@ -11,14 +11,13 @@ double cover is a fibred knot of genus g.  Two variants are provided.  The
 commuting pair sigma_2 sigma_3^-1; the "enhanced" variant uses the all
 positive descending block together with a fixed 5-strand stirring word that
 acts trivially on the homology of the cover.  The enhanced stirring word is
-only defined at genus 2; other genera require an explicitly supplied word
-(see build_family and default_phi_extension).
+only defined at genus 2; elsewhere build_family substitutes the fixture
+original_phi(genus) when asked to, and says so in FamilyWords.fixture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 
 @dataclass(frozen=True)
@@ -195,12 +194,17 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class FamilyWords:
-    """The assembled braid together with its building blocks."""
+    """The assembled braid together with its building blocks.
+
+    fixture is True when phi is the fixture word standing in for the
+    enhanced stirring word away from genus 2.
+    """
 
     spec: FamilySpec
     pi: BraidWord
     phi: BraidWord
     braid: BraidWord
+    fixture: bool
 
 
 class FamilyError(ValueError):
@@ -246,80 +250,44 @@ def enhanced_phi(genus: int) -> BraidWord:
     if genus != 2:
         raise FamilyError(
             "the enhanced stirring word is only defined at genus 2; "
-            "pass enhanced_phi= to build_family to supply one"
+            f"genus {genus} needs the fixture word "
+            "(allow_extension_fixture=True, --fixture on the CLI)"
         )
     return BraidWord(5, _ENHANCED_PHI_G2)
 
 
-def default_phi_extension(genus: int) -> BraidWord:
-    """Sweep fixture supplying an enhanced-variant stirring word at genus != 2.
-
-    No canonical enhanced stirring word exists away from genus 2, and this
-    toolkit does not invent one.  For grid sweeps that still want the
-    enhanced sign pattern at other genera, this returns a short word
-    supported on strands 2..2g+1 (the only property the unknotting and
-    Alexander-triviality checks rely on): sigma_2 sigma_3^-1 for g >= 2 and
-    the identity at genus 1.  Reports record when this fixture was used.
-    """
-    if genus == 1:
-        return BraidWord(3, ())
-    return BraidWord(2 * genus + 1, (2, -3))
-
-
 def build_family(
-    spec: FamilySpec,
-    enhanced_phi_word: BraidWord | None = None,
+    spec: FamilySpec, allow_extension_fixture: bool = False
 ) -> FamilyWords:
     """Assemble pi * phi^n * sigma_1^(-1 or +1) * phi^-n for the given spec.
 
     The original variant inserts sigma_1^-1, the enhanced variant sigma_1.
-    For the enhanced variant away from genus 2 a stirring word must be
-    supplied via enhanced_phi_word (it must avoid index 1 so that the
-    closure stays a knot); otherwise FamilyError is raised.
+    This is the one place that chooses the stirring word.  The enhanced
+    variant away from genus 2 raises FamilyError unless
+    allow_extension_fixture is set; then it takes the fixture
+    original_phi(genus), a word on strands 2..4 that is not in the Torelli
+    group (empty at genus 1), and the result's fixture field is True.
     """
     n = spec.strands
+    fixture = (
+        allow_extension_fixture and spec.variant == "enhanced" and spec.genus != 2
+    )
     if spec.variant == "original":
-        pi = original_pi(spec.genus)
-        phi = original_phi(spec.genus)
-        middle = -1
+        pi, phi, middle = original_pi(spec.genus), original_phi(spec.genus), -1
     else:
-        pi = enhanced_pi(spec.genus)
-        middle = 1
-        if spec.genus == 2 and enhanced_phi_word is None:
-            phi = enhanced_phi(2)
-        elif enhanced_phi_word is None:
-            raise FamilyError(
-                f"enhanced variant at genus {spec.genus} needs an explicit stirring word"
-            )
-        else:
-            phi = enhanced_phi_word
-    if phi.strands != n:
-        raise FamilyError(f"stirring word must live on {n} strands, got {phi.strands}")
-    if any(abs(x) == 1 for x in phi.letters):
-        raise FamilyError("stirring word must avoid index 1 (support on strands 2..n)")
+        pi, middle = enhanced_pi(spec.genus), 1
+        phi = original_phi(spec.genus) if fixture else enhanced_phi(spec.genus)
     stirred = phi**spec.power
     braid = pi * stirred * BraidWord(n, (middle,)) * stirred.inverse()
-    return FamilyWords(spec=spec, pi=pi, phi=phi, braid=braid)
+    return FamilyWords(spec=spec, pi=pi, phi=phi, braid=braid, fixture=fixture)
 
 
 def family_braid(
     genus: int,
     power: int,
     variant: str = "original",
-    enhanced_phi_word: BraidWord | None = None,
     allow_extension_fixture: bool = False,
 ) -> BraidWord:
-    """Convenience wrapper returning just the braid word.
-
-    With allow_extension_fixture=True, the enhanced variant at genus != 2
-    falls back to default_phi_extension instead of raising.
-    """
+    """Convenience wrapper returning just the braid word of build_family."""
     spec = FamilySpec(genus=genus, power=power, variant=variant)
-    if (
-        variant == "enhanced"
-        and genus != 2
-        and enhanced_phi_word is None
-        and allow_extension_fixture
-    ):
-        enhanced_phi_word = default_phi_extension(genus)
-    return build_family(spec, enhanced_phi_word).braid
+    return build_family(spec, allow_extension_fixture).braid

@@ -14,12 +14,14 @@ serialized by the report module, not here.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 from .braid import (
     BraidWord,
     FamilySpec,
     VARIANTS,
+    build_family,
     enhanced_phi,
     family_braid,
     parse_braid_text,
@@ -60,10 +62,20 @@ CheckFn = Callable[[dict], dict]
 
 REGISTRY: dict[str, CheckFn] = {}
 
+# name -> (the genera the check holds at, the refusal elsewhere); a check
+# registered without genera applies at every genus
+GENERA: dict[str, tuple[Callable[[int], bool], str]] = {}
 
-def register(name: str) -> Callable[[CheckFn], CheckFn]:
+
+def register(
+    name: str,
+    genera: Callable[[int], bool] | None = None,
+    refusal: str = "",
+) -> Callable[[CheckFn], CheckFn]:
     def add(fn: CheckFn) -> CheckFn:
         REGISTRY[name] = fn
+        if genera is not None:
+            GENERA[name] = (genera, refusal)
         return fn
 
     return add
@@ -73,15 +85,29 @@ def check_names() -> tuple[str, ...]:
     return tuple(sorted(REGISTRY))
 
 
+def applies_at(name: str, genus: int) -> bool:
+    """Whether the registered check `name` runs at this genus."""
+    return name not in GENERA or GENERA[name][0](genus)
+
+
 class CheckParamError(ValueError):
     pass
 
 
-def _genus(params: dict, default: int | None = None) -> int:
-    raw = params.get("genus", default)
+def _int_param(params: dict, key: str, default: int | None = None) -> int:
+    """An integer parameter; integer strings are accepted, and nothing is
+    truncated: 2.7 or [2] is a CheckParamError, not 2 or a TypeError."""
+    raw = params.get(key, default)
     if raw is None:
-        raise CheckParamError("check needs a genus parameter")
-    g = int(raw)
+        raise CheckParamError(f"check needs a {key} parameter")
+    try:
+        return int(raw) if isinstance(raw, str) else operator.index(raw)
+    except (TypeError, ValueError):
+        raise CheckParamError(f"{key} must be an integer, got {raw!r}") from None
+
+
+def _genus(params: dict, default: int | None = None) -> int:
+    g = _int_param(params, "genus", default)
     if g < 1:
         raise CheckParamError("genus must be at least 1")
     return g
@@ -95,25 +121,22 @@ def _family_word(params: dict) -> tuple[BraidWord, dict]:
             word = parse_braid_text(word)
         return word, {"word": format_braid_text(word)}
     genus = _genus(params)
-    power = int(params.get("power", 0))
+    power = _int_param(params, "power", 0)
     variant = params.get("variant", "original")
     if variant not in VARIANTS:
         raise CheckParamError(f"unknown variant {variant!r}")
-    word = family_braid(
-        genus,
-        power,
-        variant,
-        allow_extension_fixture=bool(params.get("phi_fixture", False)),
+    family = build_family(
+        FamilySpec(genus, power, variant), bool(params.get("phi_fixture", False))
     )
     meta = {
         "genus": genus,
         "power": power,
         "variant": variant,
-        "word": format_braid_text(word),
+        "word": format_braid_text(family.braid),
     }
-    if variant == "enhanced" and genus != 2 and params.get("phi_fixture"):
+    if family.fixture:
         meta["phi_fixture"] = True
-    return word, meta
+    return family.braid, meta
 
 
 # what a check or a sweep point may raise and still yield a record:
@@ -138,6 +161,11 @@ def run_check(name: str, params: dict | None = None) -> dict:
         )
     params = dict(params or {})
     try:
+        if name in GENERA:
+            # every genus-limited check holds at genus 2, its default
+            genera, refusal = GENERA[name]
+            if not genera(_genus(params, default=2)):
+                raise CheckParamError(refusal)
         record = REGISTRY[name](params)
     except RECORD_FAILURES as exc:
         record = {"status": failure_status(exc), "message": str(exc)}
@@ -269,13 +297,13 @@ def _check_band_witness(params: dict) -> dict:
     }
 
 
-@register("homology-invariance")
+@register(
+    "homology-invariance",
+    genera=lambda g: g == 2,
+    refusal="homology invariance is certified for the genus 2 enhanced family",
+)
 def _check_homology_invariance(params: dict) -> dict:
     genus = _genus(params, default=2)
-    if genus != 2:
-        raise CheckParamError(
-            "homology invariance is certified for the genus 2 enhanced family"
-        )
     surface = ChainSurface(2)
     phi_lift = lift_homological(enhanced_phi(2), surface)
     phi_trivial = phi_lift == mat_identity(4)
@@ -296,13 +324,13 @@ def _check_homology_invariance(params: dict) -> dict:
     }
 
 
-@register("alexander-module")
+@register(
+    "alexander-module",
+    genera=lambda g: g == 2,
+    refusal="the module check is certified for the genus 2 enhanced family",
+)
 def _check_alexander_module(params: dict) -> dict:
     genus = _genus(params, default=2)
-    if genus != 2:
-        raise CheckParamError(
-            "the module check is certified for the genus 2 enhanced family"
-        )
     surface = ChainSurface(2)
     single = True
     for n in range(6):
@@ -342,16 +370,18 @@ def _check_twobridge(params: dict) -> dict:
     }
 
 
-@register("growth-proxy")
+@register(
+    "growth-proxy",
+    genera=lambda g: g >= 2,
+    refusal=(
+        "genus 1 has an empty stirring word, so the family is constant "
+        "in the power and entry growth is undefined"
+    ),
+)
 def _check_growth(params: dict) -> dict:
     genus = _genus(params, default=2)
-    if genus == 1:
-        raise CheckParamError(
-            "genus 1 has an empty stirring word, so the family is constant "
-            "in the power and entry growth is undefined"
-        )
-    lo = int(params.get("power_lo", 2))
-    hi = int(params.get("power_hi", 10))
+    lo = _int_param(params, "power_lo", 2)
+    hi = _int_param(params, "power_hi", 10)
     if lo > hi:
         raise CheckParamError("empty power range")
     seq = growth_sequence(genus, range(lo, hi + 1), "original")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .braid import BraidWord, VARIANTS, FamilySpec, family_braid
+from .braid import BraidWord, VARIANTS, FamilySpec, build_family, family_braid
 from .laurent import (
     LaurentPoly,
     QPoly,
@@ -156,24 +156,14 @@ def charpoly_int(matrix: IntMatrix) -> LaurentPoly:
     return charpoly(matrix)
 
 
-def fibred_alexander(
-    spec: FamilySpec,
-    enhanced_phi_word: BraidWord | None = None,
-    allow_extension_fixture: bool = False,
-) -> LaurentPoly:
+def fibred_alexander(spec: FamilySpec) -> LaurentPoly:
     """Normalized characteristic polynomial of the lifted family word.
 
     For a fibred link the Alexander polynomial is the characteristic
     polynomial of the homological monodromy; that classical bridge is
     assumed, not re-derived here.
     """
-    word = family_braid(
-        spec.genus,
-        spec.power,
-        spec.variant,
-        enhanced_phi_word=enhanced_phi_word,
-        allow_extension_fixture=allow_extension_fixture,
-    )
+    word = build_family(spec).braid
     surface = ChainSurface(spec.genus)
     lift = lift_homological(word, surface)
     return charpoly_int(lift).unit_normalized()

@@ -203,24 +203,11 @@ class LaurentPoly:
         if not self.coeffs or not other.coeffs:
             return LaurentPoly.zero()
         a, b = self.coeffs, other.coeffs
-        if min(len(a), len(b)) >= 32:
-            return self._mul_kronecker(other)
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return LaurentPoly(self.offset + other.offset, tuple(out))
-
-    def _mul_kronecker(self, other: "LaurentPoly") -> "LaurentPoly":
-        bound = (
-            max(abs(c) for c in self.coeffs)
-            * max(abs(c) for c in other.coeffs)
-            * min(len(self.coeffs), len(other.coeffs))
-        )
-        bits = slot_bits(bound)
-        prod = _pack(self.coeffs, bits) * _pack(other.coeffs, bits)
-        out = _unpack(prod, bits)
         return LaurentPoly(self.offset + other.offset, tuple(out))
 
     def __pow__(self, n: int) -> "LaurentPoly":

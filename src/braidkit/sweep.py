@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .braid import VARIANTS, FamilySpec, build_family, default_phi_extension
+from .braid import VARIANTS, FamilySpec, build_family, format_braid_text
 from .checks import RECORD_FAILURES, failure_status
 from .coverlift import (
     ChainSurface,
@@ -38,7 +38,6 @@ from .invariants import SeifertMatrix, alexander_from_burau, alexander_from_seif
 from .laurent import LaurentPoly
 from .pacert import chain_pair, classify, mu, parse_twist_word
 from .twobridge import cf_to_fraction, crosscheck_w0
-from .braid import format_braid_text
 
 CHECK_GROUPS = ("unknot", "alexander", "fibred", "pa", "twobridge")
 
@@ -172,13 +171,6 @@ def parse_config(text: str) -> SweepConfig:
     return SweepConfig(**kwargs)
 
 
-def _family_for(genus: int, power: int, variant: str):
-    spec = FamilySpec(genus, power, variant)
-    fixture = variant == "enhanced" and genus != 2
-    phi_word = default_phi_extension(genus) if fixture else None
-    return build_family(spec, enhanced_phi_word=phi_word), fixture
-
-
 def build_record(task: tuple[int, int, str, tuple[str, ...], bool]) -> dict:
     """One grid point's record; a failing point becomes a status-only record.
 
@@ -203,7 +195,8 @@ def _build_record(
     genus: int, power: int, variant: str, checks: tuple[str, ...], timing: bool
 ) -> dict:
     started = time.perf_counter()
-    family, fixture = _family_for(genus, power, variant)
+    # sweeps always allow the fixture; the record says when it was used
+    family = build_family(FamilySpec(genus, power, variant), True)
     word = family.braid
     record: dict = {
         "genus": genus,
@@ -211,7 +204,7 @@ def _build_record(
         "variant": variant,
         "word": format_braid_text(word),
     }
-    if fixture:
+    if family.fixture:
         record["phi_fixture"] = True
     holds: list[bool] = []
     inconclusive = False

@@ -10,7 +10,6 @@ from braidkit.braid import (
     Permutation,
     build_family,
     closure_components,
-    default_phi_extension,
     enhanced_phi,
     enhanced_pi,
     exponent_sum,
@@ -178,11 +177,19 @@ def test_building_blocks():
     assert enhanced_pi(2).letters == (4, 3, 2)
     assert original_phi(2).letters == (2, -3)
     assert original_phi(1).letters == ()
-    assert default_phi_extension(1).letters == ()
-    assert default_phi_extension(3).letters == (2, -3)
     assert len(enhanced_phi(2)) == 36
-    with pytest.raises(FamilyError):
+    with pytest.raises(FamilyError, match="allow_extension_fixture"):
         enhanced_phi(3)
+    # build_family alone chooses the stirring word and flags the fixture
+    for genus in (1, 3):
+        family = build_family(FamilySpec(genus, 1, "enhanced"), True)
+        assert family.phi == original_phi(genus)
+        assert family.fixture is True
+    assert build_family(FamilySpec(2, 1, "enhanced"), True).fixture is False
+    for genus in (1, 2, 3):
+        original = build_family(FamilySpec(genus, 1), True)
+        assert original.phi == original_phi(genus)
+        assert original.fixture is False
 
 
 def test_family_words_original():
@@ -221,15 +228,3 @@ def test_family_closures_are_knots():
                     genus, power, variant, allow_extension_fixture=True
                 )
                 assert closure_components(w) == 1
-
-
-def test_build_family_rejects_bad_stirring_words():
-    spec = FamilySpec(2, 1, "enhanced")
-    with pytest.raises(FamilyError):
-        build_family(spec, BraidWord(7, (2,)))  # wrong strand count
-    with pytest.raises(FamilyError):
-        build_family(spec, BraidWord(5, (1, 2)))  # touches index 1
-    # a custom stirring word away from genus 2 is accepted
-    out = build_family(FamilySpec(4, 2, "enhanced"), BraidWord(9, (3, -4)))
-    assert out.braid.strands == 9
-    assert closure_components(out.braid) == 1

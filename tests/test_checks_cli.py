@@ -1,5 +1,6 @@
 """Check registry, report emission, sweep configs, and the CLI driver."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from braidkit.checks import (
     CheckParamError,
     STATUS_EXIT,
+    applies_at,
     check_names,
     exit_code_for,
     run_check,
@@ -95,6 +97,51 @@ def test_genus_two_only_checks():
     for name in ("homology-invariance", "alexander-module"):
         assert run_check(name, {"genus": 3})["status"] == "error"
         assert run_check(name, {"genus": 2})["status"] == "verified"
+
+
+def test_genus_limits_are_declared_in_the_registry():
+    # run_check refuses and verify_all skips from the same declaration
+    assert set(checks.GENERA) == {
+        "alexander-module",
+        "growth-proxy",
+        "homology-invariance",
+    }
+    assert [g for g in (1, 2, 3) if applies_at("homology-invariance", g)] == [2]
+    assert [g for g in (1, 2, 3) if applies_at("growth-proxy", g)] == [2, 3]
+    assert all(applies_at("unknot", g) for g in (1, 2, 7))
+    for name, (_, refusal) in checks.GENERA.items():
+        for genus in (1, 3):
+            if not applies_at(name, genus):
+                record = run_check(name, {"genus": genus})
+                assert record == {"status": "error", "message": refusal, "check": name}
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("unknot", {"genus": 2.7, "power": 1}),
+        ("unknot", {"genus": 2, "power": 1.9}),
+        ("unknot", {"genus": [2]}),
+        ("unknot", {"genus": "two"}),
+        ("homology-invariance", {"genus": 2.5}),
+        ("growth-proxy", {"genus": 2, "power_lo": 2.5}),
+        ("growth-proxy", {"genus": 2, "power_hi": [10]}),
+    ],
+)
+def test_non_integer_check_parameters_are_errors(name, params):
+    # nothing is truncated, and nothing escapes as a traceback
+    record = run_check(name, params)
+    assert record["status"] == "error"
+    assert "must be an integer" in record["message"]
+
+
+def test_integer_string_check_parameters_are_accepted():
+    record = run_check("unknot", {"genus": "2", "power": "1"})
+    assert record["status"] == "verified"
+    assert (record["genus"], record["power"]) == (2, 1)
+    record = run_check("growth-proxy", {"genus": "2", "power_lo": "2", "power_hi": "4"})
+    assert record["status"] == "verified"
+    assert record["powers"] == [2, 4]
 
 
 def test_growth_check_rejects_genus_one():
@@ -351,6 +398,24 @@ def test_fibred_sweep_canonical_bytes_are_pinned():
     )
 
 
+def test_docs_example_sweep_matches_the_benchmark_digest():
+    # docs/sweep_example.cfg in process, serial and without its output
+    # file; perfbench pins the same digest for its sweep-example workload,
+    # which holds the fixture records at genus 3 and 4
+    path = Path(__file__).resolve().parent.parent / "docs" / "sweep_example.cfg"
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    cfg = dataclasses.replace(cfg, parallelism=1, output=None)
+    records = run_sweep(cfg)
+    assert len(records) == 56
+    digest = hashlib.sha256(
+        canonical_json(build_report(records)).encode("utf-8")
+    ).hexdigest()
+    assert (
+        digest
+        == "28cf7d3160018539214e0f983c7090ba871a144e6e6e46a1e8772ab8a5f4c4ef"
+    )
+
+
 def test_sweep_embeds_failures_instead_of_dropping():
     # enhanced at genus 3 without a fixture cannot be built; the sweep
     # fixture fills it in, so flag presence is the observable
@@ -447,6 +512,9 @@ def test_cli_family(capsys):
     assert main(["family", "--genus", "2", "--power", "1"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "5 4 -3 2 2 -3 -1 3 -2"
+    argv = ["family", "--genus", "3", "--power", "1", "--variant", "enhanced"]
+    assert main(argv + ["--fixture"]) == 0
+    assert capsys.readouterr().out.strip() == "7 6 5 4 3 2 2 -3 1 3 -2"
 
 
 def test_cli_family_json(capsys):
@@ -458,13 +526,14 @@ def test_cli_family_json(capsys):
 
 def test_cli_family_error(capsys):
     assert main(["family", "--genus", "3", "--variant", "enhanced"]) == 1
-    assert "error" in capsys.readouterr().err
+    assert "--fixture" in capsys.readouterr().err
 
 
 def test_cli_check_exit_codes(capsys):
     assert main(["check", "unknot", "--genus", "2", "--power", "3"]) == 0
     assert main(["check", "unknot", "--word", "2 1 1 1"]) == 2
     assert main(["check", "homology-invariance", "--genus", "3"]) == 1
+    assert main(["check", "unknot", "--genus", "3", "--variant", "enhanced"]) == 1
     capsys.readouterr()
 
 
