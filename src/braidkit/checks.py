@@ -49,7 +49,6 @@ from .garside import (
 from .invariants import alexander_from_burau
 from .laurent import LaurentPoly
 from .pacert import (
-    MarginError,
     chain_pair,
     classify,
     complement_euler,
@@ -119,15 +118,20 @@ def _family_word(params: dict) -> tuple[BraidWord, dict]:
         word = params["word"]
         if isinstance(word, str):
             word = parse_braid_text(word)
+        elif not isinstance(word, BraidWord):
+            raise CheckParamError(f"word must be braid text, got {word!r}")
         return word, {"word": format_braid_text(word)}
     genus = _genus(params)
     power = _int_param(params, "power", 0)
     variant = params.get("variant", "original")
     if variant not in VARIANTS:
         raise CheckParamError(f"unknown variant {variant!r}")
-    family = build_family(
-        FamilySpec(genus, power, variant), bool(params.get("phi_fixture", False))
-    )
+    fixture = params.get("phi_fixture", False)
+    if fixture is not True and fixture is not False:
+        raise CheckParamError(
+            f"phi_fixture must be true or false, got {fixture!r}"
+        )
+    family = build_family(FamilySpec(genus, power, variant), fixture)
     meta = {
         "genus": genus,
         "power": power,
@@ -137,21 +141,6 @@ def _family_word(params: dict) -> tuple[BraidWord, dict]:
     if family.fixture:
         meta["phi_fixture"] = True
     return family.braid, meta
-
-
-# what a check or a sweep point may raise and still yield a record:
-# MarginError, and the ValueError family (CheckParamError, FamilyError,
-# MoveError, ConventionError)
-RECORD_FAILURES = (MarginError, ValueError)
-
-
-def failure_status(exc: Exception) -> str:
-    """Status of a record whose check raised one of RECORD_FAILURES.
-
-    An uncertified margin is a sound certifier giving up, so inconclusive;
-    the rest are malformed requests or failed preconditions, so error.
-    """
-    return "inconclusive" if isinstance(exc, MarginError) else "error"
 
 
 def run_check(name: str, params: dict | None = None) -> dict:
@@ -167,8 +156,10 @@ def run_check(name: str, params: dict | None = None) -> dict:
             if not genera(_genus(params, default=2)):
                 raise CheckParamError(refusal)
         record = REGISTRY[name](params)
-    except RECORD_FAILURES as exc:
-        record = {"status": failure_status(exc), "message": str(exc)}
+    except ValueError as exc:
+        # malformed requests and failed preconditions (CheckParamError,
+        # FamilyError, MoveError, ConventionError) become error records
+        record = {"status": "error", "message": str(exc)}
     record["check"] = name
     return record
 
@@ -225,7 +216,10 @@ def _check_fibre_genus(params: dict) -> dict:
 def _check_pa(params: dict) -> dict:
     genus = _genus(params)
     pair = chain_pair(genus)
-    word = parse_twist_word(params.get("twist_word", "A B-"))
+    text = params.get("twist_word", "A B-")
+    if not isinstance(text, str):
+        raise CheckParamError(f"twist_word must be text, got {text!r}")
+    word = parse_twist_word(text)
     verdict = classify(word, pair)
     record = {
         "genus": genus,

@@ -7,19 +7,22 @@ multitwists map to [[1, -s], [0, 1]] and [[1, 0], [s, 1]] where s^2 = mu.
 A word in the twists is pseudo-Anosov exactly when its image is hyperbolic,
 so the verdict reduces to comparing |trace| with 2.
 
-The trace of any twist word is a polynomial in mu with integer
+The trace of any twist word is a polynomial tr in mu with integer
 coefficients: matrices here keep even and odd parts in s separate, and the
-diagonal is always even.  Parabolic cases are therefore decided exactly
-(polynomial gcd plus Sturm root counting at mu), and the strict
-inequalities are decided on a rational enclosure of mu that is refined
-until the verdict clears the requested margin.
+diagonal is always even.  The verdict is the pair of exact signs of
+tr - 2 and tr + 2 at mu (`_sign_at_mu`), each read from its remainder mod
+the characteristic polynomial: a zero is decided by a polynomial gcd with
+the characteristic polynomial plus a Sturm count on the isolating
+enclosure, and a nonzero sign by halving the enclosure toward mu until the
+remainder's own Sturm chain counts no root in it.  No margin is involved,
+so every word gets a verdict; trace and dilatation are float summaries.
 
 Everything those tests need from the pair is a pure function of it: the
 characteristic polynomial of N N^T, its integer Sturm chain and the
 enclosure of mu at MU_TOLERANCE.  `mu_certificate` computes them once per
 (frozen, hashable) MulticurvePair behind an lru_cache, and `mu_enclosure`,
 `mu` and `classify` all read that one certificate.  `classify` is memoized
-the same way, per (word, pair, margin); a MarginError is never cached.
+the same way, per (word, pair).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .laurent import (
     charpoly,
     count_roots_in,
     poly_gcd_q,
+    qdivmod,
     sturm_chain,
     to_qpoly,
 )
@@ -42,11 +46,6 @@ from .laurent import (
 IntMatrix = tuple[tuple[int, ...], ...]
 
 MU_TOLERANCE = Fraction(1, 10**12)
-CLASSIFY_MARGIN = Fraction(1, 10**9)
-
-
-class MarginError(ArithmeticError):
-    """A strict comparison could not be certified at the required margin."""
 
 
 @dataclass(frozen=True)
@@ -121,15 +120,24 @@ class MuCertificate:
     """Everything the exact mu tests of one pair share.
 
     poly is the characteristic polynomial of N N^T, chain its integer Sturm
-    chain, bound an upper bound on its roots, and (lo, hi] an enclosure of
-    mu of width <= MU_TOLERANCE that isolates a single distinct root.
+    chain, and (lo, hi] an enclosure of mu of width <= MU_TOLERANCE that
+    isolates a single distinct root.
     """
 
     poly: QPoly
     chain: SturmChain
-    bound: Fraction
     lo: Fraction
     hi: Fraction
+
+
+def _step(
+    chain: SturmChain, lo: Fraction, hi: Fraction
+) -> tuple[Fraction, Fraction]:
+    """The half of (lo, hi] that keeps the largest root of chain in it."""
+    mid = (lo + hi) / 2
+    if count_roots_in(chain, mid, hi) >= 1:
+        return mid, hi
+    return lo, mid
 
 
 @lru_cache(maxsize=None)
@@ -140,39 +148,22 @@ def mu_certificate(pair: MulticurvePair) -> MuCertificate:
     gram = _gram(pair)
     poly = to_qpoly(charpoly(gram))
     chain = sturm_chain(poly)
-    bound = Fraction(max(sum(abs(x) for x in row) for row in gram) + 1)
-    lo, hi = _isolate_top_root(chain, bound, MU_TOLERANCE)
-    return MuCertificate(poly, chain, bound, lo, hi)
+    # no eigenvalue exceeds the largest absolute row sum of the Gram matrix
+    lo, hi = Fraction(0), Fraction(max(sum(map(abs, r)) for r in gram) + 1)
+    while count_roots_in(chain, lo, hi) > 1 or hi - lo > MU_TOLERANCE:
+        lo, hi = _step(chain, lo, hi)
+    return MuCertificate(poly, chain, lo, hi)
 
 
-def _isolate_top_root(
-    chain: SturmChain, bound: Fraction, tolerance: Fraction
-) -> tuple[Fraction, Fraction]:
-    lo, hi = Fraction(0), bound
-    # peel off the largest root: shrink from above first
-    while count_roots_in(chain, lo, hi) > 1 or hi - lo > tolerance:
-        mid = (lo + hi) / 2
-        if count_roots_in(chain, mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+def mu_enclosure(pair: MulticurvePair) -> tuple[Fraction, Fraction]:
+    """Rational enclosure (lo, hi] of the top eigenvalue of N N^T.
 
-
-def mu_enclosure(
-    pair: MulticurvePair, tolerance: Fraction = MU_TOLERANCE
-) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of the top eigenvalue of N N^T, width <= tolerance.
-
-    The interval is bisected until it both meets the width target and
-    isolates a single distinct root of the characteristic polynomial, so
-    later exact tests can treat "root in enclosure" as "equals mu".  At the
-    default tolerance this is the pair's memoized certificate.
+    Its width is at most MU_TOLERANCE and it isolates a single distinct
+    root of the characteristic polynomial, so exact tests can treat "root
+    in enclosure" as "equals mu".  It is the pair's memoized certificate.
     """
     cert = mu_certificate(pair)
-    if tolerance == MU_TOLERANCE:
-        return cert.lo, cert.hi
-    return _isolate_top_root(cert.chain, cert.bound, tolerance)
+    return cert.lo, cert.hi
 
 
 def mu(pair: MulticurvePair) -> float:
@@ -271,24 +262,24 @@ def trace_polynomial(word: TwistWord) -> LaurentPoly:
     return tr[0]
 
 
-def _interval_eval(
-    poly: LaurentPoly, lo: Fraction, hi: Fraction
-) -> tuple[Fraction, Fraction]:
-    acc_lo, acc_hi = Fraction(0), Fraction(0)
-    for c in reversed(to_qpoly(poly)):
-        cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-        acc_lo, acc_hi = min(cands) + c, max(cands) + c
-    return acc_lo, acc_hi
+def _sign_at_mu(q: LaurentPoly, cert: MuCertificate) -> int:
+    """Sign of q(mu), exactly: -1, 0 or 1.
 
-
-def _vanishes_at_mu(poly: LaurentPoly, cert: MuCertificate) -> bool:
-    """Exact test of poly(mu) = 0 on the certificate's isolating enclosure."""
-    if poly.is_zero():
-        return True
-    common = poly_gcd_q(to_qpoly(poly), cert.poly)
-    if len(common) <= 1:
-        return False
-    return count_roots_in(common, cert.lo, cert.hi) >= 1
+    mu is a root of the charpoly, so q(mu) = r(mu) for r = q mod charpoly,
+    whose degree is below the charpoly's however long q is.  r(mu) = 0
+    exactly when gcd(r, charpoly) has a root in the isolating enclosure.
+    Otherwise r has a root-free neighbourhood of mu, so the enclosure is
+    halved toward mu until r's own Sturm chain counts no root in (lo, hi];
+    r then has one sign on (lo, hi], which holds mu and hi.
+    """
+    rem = qdivmod(to_qpoly(q), cert.poly)[1]
+    if count_roots_in(poly_gcd_q(rem, cert.poly), cert.lo, cert.hi):
+        return 0
+    own = sturm_chain(rem)
+    lo, hi = cert.lo, cert.hi
+    while count_roots_in(own, lo, hi):
+        lo, hi = _step(cert.chain, lo, hi)
+    return 1 if sum(c * hi**i for i, c in enumerate(rem)) > 0 else -1
 
 
 @dataclass(frozen=True)
@@ -299,54 +290,27 @@ class Classification:
 
 
 @lru_cache(maxsize=None)
-def classify(
-    word: TwistWord,
-    pair: MulticurvePair,
-    margin: Fraction = CLASSIFY_MARGIN,
-) -> Classification:
+def classify(word: TwistWord, pair: MulticurvePair) -> Classification:
     """Thurston-Veech trichotomy for a word in the two multitwists.
 
     |trace| > 2 gives pseudo-Anosov with dilatation (|tr|+sqrt(tr^2-4))/2;
-    |trace| = 2 parabolic (decided exactly); |trace| < 2 elliptic.  Strict
-    verdicts must clear the margin, else MarginError.
+    |trace| = 2 parabolic; |trace| < 2 elliptic.  The kind comes from the
+    exact signs of tr - 2 and tr + 2 at mu; trace and dilatation are float
+    summaries taken at the midpoint of the enclosure.
     """
     tr = trace_polynomial(word)
     cert = mu_certificate(pair)
-    lo, hi = cert.lo, cert.hi
-    if _vanishes_at_mu(tr - LaurentPoly.constant(2), cert) or (
-        _vanishes_at_mu(tr + LaurentPoly.constant(2), cert)
-    ):
-        mid = (lo + hi) / 2
-        return Classification("parabolic", float(tr.eval(mid)), None)
-    for _ in range(8):
-        tlo, thi = _interval_eval(tr, lo, hi)
-        if tlo > 2 or thi < -2:
-            mag_lo = max(tlo, -thi)  # lower bound for |trace|
-            if mag_lo - 2 >= margin:
-                mid = float((tlo + thi) / 2)
-                mag = abs(mid)
-                dil = (mag + (mag * mag - 4) ** 0.5) / 2
-                return Classification("pseudo-anosov", mid, dil)
-        if -2 < tlo and thi < 2:
-            if tlo + 2 >= margin and 2 - thi >= margin:
-                return Classification("elliptic", float((tlo + thi) / 2), None)
-        # verdict too close to the boundary: refine the mu enclosure
-        lo, hi = _refine(cert.chain, lo, hi)
-    raise MarginError(
-        f"trace within {float(margin)} of the parabolic boundary"
-    )
-
-
-def _refine(
-    chain: SturmChain, lo: Fraction, hi: Fraction
-) -> tuple[Fraction, Fraction]:
-    for _ in range(40):
-        mid = (lo + hi) / 2
-        if count_roots_in(chain, mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    above = _sign_at_mu(tr - LaurentPoly.constant(2), cert)
+    below = _sign_at_mu(tr + LaurentPoly.constant(2), cert)
+    trace = float(tr.eval((cert.lo + cert.hi) / 2))
+    if above == 0 or below == 0:
+        return Classification("parabolic", trace, None)
+    if above > 0 or below < 0:
+        mag = abs(trace)
+        # the kind is exact; the float can round to |trace| <= 2 next to it
+        dil = (mag + max(mag * mag - 4, 0.0) ** 0.5) / 2
+        return Classification("pseudo-anosov", trace, dil)
+    return Classification("elliptic", trace, None)
 
 
 def complement_euler(genus: int, punctured: bool) -> int:

@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 
 from .braid import VARIANTS, FamilySpec, build_family, format_braid_text
-from .checks import RECORD_FAILURES, failure_status
 from .coverlift import (
     ChainSurface,
     branched_cover_euler,
@@ -172,21 +171,21 @@ def parse_config(text: str) -> SweepConfig:
 
 
 def build_record(task: tuple[int, int, str, tuple[str, ...], bool]) -> dict:
-    """One grid point's record; a failing point becomes a status-only record.
+    """One grid point's record; a failing point becomes an error record.
 
-    The exceptions `run_check` turns into records are caught here too, with
-    the same statuses, so one bad point cannot abort the sweep and a point
-    gets the verdict `braidkit check` gives it.
+    A ValueError becomes `status=error`, as in `run_check`, so one bad
+    point cannot abort the sweep and a point gets the verdict `braidkit
+    check` gives it.
     """
     genus, power, variant = task[:3]
     try:
         return _build_record(*task)
-    except RECORD_FAILURES as exc:
+    except ValueError as exc:
         return {
             "genus": genus,
             "power": power,
             "variant": variant,
-            "status": failure_status(exc),
+            "status": "error",
             "message": str(exc),
         }
 

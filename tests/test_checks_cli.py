@@ -22,7 +22,6 @@ from braidkit import checks, cli, sweep
 from braidkit.braid import FamilyError
 from braidkit.coverlift import ConventionError
 from braidkit.destab import MoveError
-from braidkit.pacert import MarginError
 from braidkit.cli import main
 from braidkit.laurent import LaurentPoly
 from braidkit.report import (
@@ -133,6 +132,34 @@ def test_non_integer_check_parameters_are_errors(name, params):
     record = run_check(name, params)
     assert record["status"] == "error"
     assert "must be an integer" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("unknot", {"word": 5}),
+        ("unknot", {"word": [3, 1, 2]}),
+        ("unknot", {"word": b"3 1 2"}),
+        ("alexander-trivial", {"word": 2.5}),
+        ("pa", {"genus": 2, "twist_word": 5}),
+        ("pa", {"genus": 2, "twist_word": ["A", "B-"]}),
+        ("pa", {"genus": 2, "twist_word": b"A B-"}),
+    ],
+)
+def test_non_text_words_are_errors(name, params):
+    record = run_check(name, params)
+    assert record["status"] == "error"
+    assert "must be" in record["message"]
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [True]])
+def test_phi_fixture_must_be_a_boolean(flag):
+    params = {"genus": 3, "variant": "enhanced", "phi_fixture": flag}
+    record = run_check("unknot", params)
+    assert record["status"] == "error"
+    assert "phi_fixture must be true or false" in record["message"]
+    params["phi_fixture"] = False
+    assert run_check("unknot", params)["status"] == "error"  # no fixture
 
 
 def test_integer_string_check_parameters_are_accepted():
@@ -416,6 +443,25 @@ def test_docs_example_sweep_matches_the_benchmark_digest():
     )
 
 
+def test_every_record_key_is_declared_in_the_schema():
+    # plain json: every key a record can carry is a declared property
+    root = Path(__file__).resolve().parent.parent / "docs"
+    schema = json.loads((root / "report_schema.json").read_text("utf-8"))
+    record_schema = schema["$defs"]["record"]
+    declared = set(record_schema["properties"])
+    assert set(record_schema["properties"]["check"]["enum"]) == set(ALL_CHECKS)
+    cfg = parse_config((root / "sweep_example.cfg").read_text("utf-8"))
+    records = run_sweep(dataclasses.replace(cfg, parallelism=1, output=None))
+    records += [run_check(name, {"genus": 2}) for name in ALL_CHECKS]
+    error = run_check("unknot", {"word": "3 1"})
+    stuck = run_check("unknot", {"word": "2 1 1 1"})
+    assert (error["status"], stuck["status"]) == ("error", "inconclusive")
+    assert "message" in error and "stuck" in stuck
+    records += [error, stuck]
+    for record in records:
+        assert set(record) <= declared, (set(record) - declared, record)
+
+
 def test_sweep_embeds_failures_instead_of_dropping():
     # enhanced at genus 3 without a fixture cannot be built; the sweep
     # fixture fills it in, so flag presence is the observable
@@ -474,35 +520,18 @@ def test_sweep_turns_a_failing_point_into_an_error_record(
     assert json.loads(out.read_text())["records"][2]["status"] == "error"
 
 
-def test_sweep_turns_a_margin_failure_into_an_inconclusive_record(
-    monkeypatch, tmp_path
-):
-    # an uncertified margin is the certifier giving up, as in `check pa`
-    _fail_classify_at_genus_two(monkeypatch, MarginError)
-    records = run_sweep(SweepConfig(genus=(1, 2), power=(0,), checks=("pa",)))
-    assert records[1] == {
-        "genus": 2,
-        "power": 0,
-        "variant": "original",
-        "status": "inconclusive",
-        "message": "injected failure",
-    }
-    assert records[0]["status"] == "verified"
-    validate_report(build_report(records))
-    config = tmp_path / "sweep.cfg"
-    config.write_text("genus = 1..2\npower = 0\nchecks = pa\n")
-    assert main(["sweep", "--config", str(config)]) == 2
-
-
 def test_check_and_sweep_give_a_margin_failure_the_same_status(monkeypatch):
-    def margin_failure(word, pair):
-        raise MarginError("injected failure")
+    # a ValueError from classify is an error record in `check pa` and in
+    # the sweep alike
+    def failure(word, pair):
+        raise ValueError("injected failure")
 
-    monkeypatch.setattr(checks, "classify", margin_failure)
-    monkeypatch.setattr(sweep, "classify", margin_failure)
+    monkeypatch.setattr(checks, "classify", failure)
+    monkeypatch.setattr(sweep, "classify", failure)
     checked = run_check("pa", {"genus": 2})
     (swept,) = run_sweep(SweepConfig(genus=(2,), power=(0,), checks=("pa",)))
-    assert checked["status"] == swept["status"] == "inconclusive"
+    assert checked["status"] == swept["status"] == "error"
+    assert checked["message"] == swept["message"] == "injected failure"
 
 
 # -- CLI -----------------------------------------------------------------

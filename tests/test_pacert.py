@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidkit import pacert
-from braidkit.laurent import charpoly, count_roots_in, to_qpoly
+from braidkit.laurent import LaurentPoly, charpoly, count_roots_in, to_qpoly
 from braidkit.pacert import (
-    CLASSIFY_MARGIN,
     MU_TOLERANCE,
-    MarginError,
     MulticurvePair,
     chain_pair,
     classify,
@@ -135,26 +133,6 @@ def test_sweep_classifies_once_per_genus(monkeypatch):
     assert classify.cache_info().misses == 2
 
 
-def test_classify_does_not_cache_a_margin_failure(monkeypatch):
-    calls = []
-
-    def counting_trace_polynomial(word):
-        calls.append(word)
-        return trace_polynomial(word)
-
-    monkeypatch.setattr(pacert, "trace_polynomial", counting_trace_polynomial)
-    for _ in range(2):
-        with pytest.raises(MarginError):
-            classify(parse_twist_word("A B-"), chain_pair(2), margin=Fraction(3))
-    assert len(calls) == 2
-
-
-def test_mu_enclosure_custom_tolerance():
-    lo, hi = mu_enclosure(chain_pair(3), tolerance=Fraction(1, 10**6))
-    assert hi - lo <= Fraction(1, 10**6)
-    assert abs(float((lo + hi) / 2) - 4 * math.cos(math.pi / 7) ** 2) < 1e-5
-
-
 # -- twist words and traces ----------------------------------------------
 
 
@@ -231,34 +209,56 @@ def test_classify_conjugation_invariance():
     assert d1 == d2
 
 
-def test_classify_margin_guard():
-    # an impossible margin must fail loudly instead of guessing
-    with pytest.raises(MarginError):
-        classify(parse_twist_word("A B-"), chain_pair(2), margin=Fraction(3))
-    assert CLASSIFY_MARGIN == Fraction(1, 10**9)
+def test_sign_at_mu_is_exact_inside_the_enclosure():
+    # mu_2 = (3 + sqrt 5)/2; near has its root at the enclosure's midpoint,
+    # so its sign at mu is only read after halving toward mu
+    cert = mu_certificate(chain_pair(2))
+    root = (cert.lo + cert.hi) / 2
+    near = LaurentPoly(0, (-root.numerator, root.denominator))
+    assert count_roots_in(to_qpoly(near), cert.lo, cert.hi) == 1
+    expect = 1 if (2 * root - 3) ** 2 < 5 else -1  # mu > root
+    assert pacert._sign_at_mu(near, cert) == expect
+    assert pacert._sign_at_mu(-near, cert) == -expect
+    assert pacert._sign_at_mu(near * near, cert) == 1
+    assert pacert._sign_at_mu(LaurentPoly(0, (1, -3, 1)), cert) == 0
+    assert pacert._sign_at_mu(LaurentPoly(0, (1, -3, 1)) * near, cert) == 0
+    assert pacert._sign_at_mu(LaurentPoly.constant(-2), cert) == -1
+    assert pacert._sign_at_mu(LaurentPoly.zero(), cert) == 0
 
 
-@settings(max_examples=40, deadline=None)
+def test_long_words_get_exact_verdicts():
+    # at genus 3, tr(A B) = 2 - mu = 2 cos(5 pi / 7): A B is a rotation, and
+    # (A B)^n has trace 2 cos(5 n pi / 7), which is -+2 exactly when 7 | n
+    pair = chain_pair(3)
+    for n in (7, 140, 200):
+        verdict = classify(parse_twist_word("A B " * n), pair)
+        assert verdict.kind == ("parabolic" if n % 7 == 0 else "elliptic")
+        assert abs(verdict.trace - 2 * math.cos(5 * n * math.pi / 7)) < 1e-6
+    assert classify(parse_twist_word("A B- " * 200), pair).kind == "pseudo-anosov"
+
+
+@settings(max_examples=200, deadline=None)
 @given(
+    st.integers(min_value=1, max_value=4),
     st.lists(
-        st.sampled_from(["A", "A-", "B", "B-"]), min_size=1, max_size=6
-    )
+        st.sampled_from(["A", "A-", "B", "B-"]), min_size=1, max_size=10
+    ),
 )
-def test_classify_never_lies_about_kind(tokens):
+def test_classify_never_lies_about_kind(genus, tokens):
     word = parse_twist_word(" ".join(tokens))
-    p = chain_pair(2)
-    try:
-        verdict = classify(word, p)
-    except MarginError:
-        return  # an honest refusal is acceptable
+    verdict = classify(word, chain_pair(genus))
+    # float oracle: mu_g = 4 cos^2(pi / (2g + 1)), trusted away from +-2
+    mu_g = 4 * math.cos(math.pi / (2 * genus + 1)) ** 2
+    trace = trace_polynomial(word).eval(mu_g)
+    assert abs(verdict.trace - trace) < 1e-6 * max(1.0, abs(trace))
+    if abs(abs(trace) - 2) > 1e-6:
+        expect = "pseudo-anosov" if abs(trace) > 2 else "elliptic"
+        assert verdict.kind == expect
     if verdict.kind == "pseudo-anosov":
-        assert abs(verdict.trace) > 2
         lam = verdict.dilatation
-        assert abs(lam + 1 / lam - abs(verdict.trace)) < 1e-6
-    elif verdict.kind == "elliptic":
-        assert abs(verdict.trace) < 2
+        assert abs(lam + 1 / lam - abs(verdict.trace)) < 1e-6 * abs(trace)
     else:
-        assert abs(abs(verdict.trace) - 2) < 1e-6
+        assert verdict.dilatation is None
 
 
 # -- Euler characteristic bookkeeping ------------------------------------
