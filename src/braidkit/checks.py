@@ -15,6 +15,7 @@ serialized by the report module, not here.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from typing import Callable
 
 from .braid import (
@@ -148,8 +149,13 @@ def run_check(name: str, params: dict | None = None) -> dict:
         raise CheckParamError(
             f"unknown check {name!r}; known: {', '.join(check_names())}"
         )
-    params = dict(params or {})
     try:
+        if params is not None and not isinstance(params, Mapping):
+            raise CheckParamError(
+                "check parameters must be a mapping of names to values, "
+                f"got {type(params).__name__}"
+            )
+        params = dict(params or {})
         if name in GENERA:
             # every genus-limited check holds at genus 2, its default
             genera, refusal = GENERA[name]

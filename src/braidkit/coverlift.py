@@ -212,6 +212,18 @@ def seifert_from_monodromy(matrix: IntMatrix, surface: ChainSurface) -> IntMatri
     pivot, +-det(I - M): every eliminated column is 0 off the diagonal and
     d on it.  So each row drops a column once it is eliminated, and S^T is
     what is left, the right block, divided by d entry by entry.
+
+    A row whose entry f in the pivot column is 0 would only be scaled by
+    pivot / prev, and over a run of such steps the factors telescope to the
+    current pivot over the pivot of the row's last real update.  So each
+    row keeps that last pivot as its divisor (1 at the start), drops its
+    first entry and is otherwise left as it is; its up-to-date entries are
+    the stored ones times prev / divisor.  A real update divides by the
+    row's divisor in place of prev, the same exact quotient, and the pivot
+    row is brought up to date before it is used.  At the end the right
+    block's row r is its stored row times d / divisor, so row r of S^T is
+    the stored row over that row's divisor; a remainder is still a
+    ConventionError.
     """
     size = surface.rank
     if len(matrix) != size:
@@ -223,6 +235,9 @@ def seifert_from_monodromy(matrix: IntMatrix, surface: ChainSurface) -> IntMatri
         + [-form[r][c] for r in range(size)]
         for c in range(size)
     ]
+    # each row's divisor: the pivot of its last update; the row is its
+    # stored entries times prev / divisor
+    divs = [1] * size
     prev = 1
     for col in range(size):
         # every row starts at column col: the columns before it are done
@@ -230,22 +245,34 @@ def seifert_from_monodromy(matrix: IntMatrix, surface: ChainSurface) -> IntMatri
         if pivot_row is None:
             raise ValueError("monodromy has 1 as an eigenvalue; no Seifert solve")
         rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        divs[col], divs[pivot_row] = divs[pivot_row], divs[col]
         pivot, *tail = rows[col]
+        div = divs[col]
+        if div != prev:
+            # bring the pivot row up to date
+            pivot = pivot * prev // div
+            tail = [x * prev // div for x in tail]
         for r in range(size):
             if r != col:
                 row = rows[r]
                 f = row[0]
-                rows[r] = [
-                    (pivot * x - f * y) // prev
-                    for x, y in zip(islice(row, 1, None), tail)
-                ]
+                if f:
+                    div = divs[r]
+                    rows[r] = [
+                        (pivot * x - f * y) // div
+                        for x, y in zip(islice(row, 1, None), tail)
+                    ]
+                    divs[r] = pivot
+                else:
+                    # the step would only scale the row by pivot / prev
+                    del row[0]
         rows[col] = tail
-        prev = pivot
+        divs[col] = prev = pivot
     out = []
     for c in range(size):
         row = []
         for r in range(size):
-            q, rem = divmod(rows[r][c], prev)
+            q, rem = divmod(rows[r][c], divs[r])
             if rem:
                 raise ConventionError(
                     "Seifert solve is non-integral; convention mismatch"

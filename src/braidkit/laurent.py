@@ -42,6 +42,23 @@ minor from the first step on and lengthens the operands by a whole slot
 per step; short pivots keep the minors, and so the packed operands, short
 until the last steps.
 
+Rows whose entry in the pivot column is 0 are left as they are.  Bareiss
+step k takes row i to (p_k * r_ij - r_ik * r_kj) / p_(k-1), with p_k the
+pivot of step k and p_0 = 1; when r_ik = 0 that is r_ij times
+p_k / p_(k-1), and over a run of such steps the factors telescope to
+p_k / p_l, where l is the row's last real update.  So each row keeps a
+divisor, the pivot (odd mantissa and exponent) of its last update, 1 at the
+start, and its up-to-date entries are the stored ones times prev / divisor.
+A real update divides by the row's divisor in place of prev, which gives
+the same exact minor, and then sets the divisor to the step's pivot.  The
+pivot row, and the final entry, are brought up to date with one multiply by
+prev and one exact division by the divisor; the exponent moves by
+prev_exp - divisor_exp.  Pivots are chosen on the up-to-date mantissas, so
+the elimination visits the same minors as one that scales every row.  The
+pencils are sparse: the genus-10, power-10 monodromy M has 170 zero
+entries in 400 and its Seifert form 358, and 170 of the 190 row updates of
+either pencil, tI - M or S - tS^T, are such scalings.
+
 Only the final determinant is unpacked (the Bareiss intermediates are exact
 integers whatever B is), so B has to cover its coefficients alone.  It is
 sized from Hadamard's inequality on the unit circle:
@@ -412,7 +429,8 @@ def _bareiss_det(values: list[list[int]], exps: list[list[int]]) -> int:
     """Determinant of the integer matrix (values[i][j] << exps[i][j]).
 
     Fraction-free (Bareiss) elimination on odd mantissas, pivoting on the
-    least nonzero mantissa of each column: see the module notes.  Every
+    least nonzero mantissa of each column and leaving a row unscaled while
+    its pivot-column entries are 0: see the module notes.  Every
     exponent must be >= 0.  Destroys both arguments, and reorders their rows
     in place.
     """
@@ -427,26 +445,50 @@ def _bareiss_det(values: list[list[int]], exps: list[list[int]]) -> int:
                 ei[j] += tz
             else:
                 ei[j] = 0
+    # each row's divisor: the pivot (odd mantissa, exponent) of its last
+    # update; the row's entries are its stored ones times prev / divisor
+    divs = [1] * n
+    div_exps = [0] * n
     sign = 1
     prev, prev_exp = 1, 0
     for k in range(n - 1):
-        # pivot on the least nonzero mantissa of column k, first on ties
-        r, least = k, abs(values[k][k])
-        for i in range(k + 1, n):
-            x = abs(values[i][k])
-            if x and (x < least or not least):
-                r, least = i, x
+        # pivot on the least up-to-date nonzero mantissa of column k, first
+        # on ties
+        r, least = k, 0
+        for i in range(k, n):
+            x = values[i][k]
+            if x:
+                if divs[i] != prev:
+                    x = x * prev // divs[i]
+                x = abs(x)
+                if x < least or not least:
+                    r, least = i, x
         if not least:
             return 0
         if r != k:
             values[k], values[r] = values[r], values[k]
             exps[k], exps[r] = exps[r], exps[k]
+            divs[k], divs[r] = divs[r], divs[k]
+            div_exps[k], div_exps[r] = div_exps[r], div_exps[k]
             sign = -sign
         mk, ek = values[k], exps[k]
+        div, div_exp = divs[k], div_exps[k]
+        if div != prev or div_exp != prev_exp:
+            # bring the pivot row up to date
+            for j in range(k, n):
+                if mk[j]:
+                    mk[j] = mk[j] * prev // div
+                    ek[j] += prev_exp - div_exp
         pivot, pivot_exp = mk[k], ek[k]
         for i in range(k + 1, n):
-            mi, ei = values[i], exps[i]
-            a, ea = mi[k], ei[k]
+            mi = values[i]
+            a = mi[k]
+            if not a:
+                # the step would only scale the row by pivot / prev
+                continue
+            ei = exps[i]
+            ea = ei[k]
+            div, div_exp = divs[i], div_exps[i]
             for j in range(k + 1, n):
                 # pivot * v_ij - v_ik * v_kj, aligned at the smaller exponent
                 x = pivot * mi[j]
@@ -459,18 +501,25 @@ def _bareiss_det(values: list[list[int]], exps: list[list[int]]) -> int:
                 else:
                     x -= y << (ey - ex)
                 if x:
-                    # the Bareiss quotient is an integer and prev is odd, so
-                    # prev divides the odd part exactly, and the quotient's
+                    # the Bareiss quotient is an integer and div is odd, so
+                    # div divides the odd part exactly, and the quotient's
                     # exponent is its 2-adic valuation, hence >= 0
                     tz = (x & -x).bit_length() - 1
-                    mi[j] = (x >> tz) // prev
-                    ei[j] = ex + tz - prev_exp
+                    mi[j] = (x >> tz) // div
+                    ei[j] = ex + tz - div_exp
                 else:
                     mi[j] = 0
                     ei[j] = 0
             mi[k] = 0
+            divs[i], div_exps[i] = pivot, pivot_exp
         prev, prev_exp = pivot, pivot_exp
-    return sign * values[n - 1][n - 1] << exps[n - 1][n - 1]
+    last = values[n - 1][n - 1]
+    if not last:
+        # a zero keeps exponent 0, which the catch-up could take below 0
+        return 0
+    return sign * (last * prev // divs[n - 1]) << (
+        exps[n - 1][n - 1] + prev_exp - div_exps[n - 1]
+    )
 
 
 def det_laurent(matrix: list[list[LaurentPoly]]) -> LaurentPoly:

@@ -152,6 +152,25 @@ def test_non_text_words_are_errors(name, params):
     assert "must be" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("unknot", [1, 2]),
+        ("unknot", "genus"),
+        ("unknot", [("genus", 2)]),
+        ("pa", 2),
+        ("homology-invariance", ("genus",)),
+    ],
+)
+def test_non_mapping_check_parameters_are_errors(name, params):
+    # dict() of these raises TypeError or ValueError, or, for a list of
+    # pairs, silently builds a mapping; none may pass
+    record = run_check(name, params)
+    assert record["status"] == "error"
+    assert record["check"] == name
+    assert "must be a mapping" in record["message"]
+
+
 @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [True]])
 def test_phi_fixture_must_be_a_boolean(flag):
     params = {"genus": 3, "variant": "enhanced", "phi_fixture": flag}

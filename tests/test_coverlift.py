@@ -325,6 +325,37 @@ def test_seifert_solve_matches_the_rational_oracle(case):
     assert mat_mul(v, m) == vt
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda g: st.tuples(st.just(g), one_letter_each_words(g, max_squares=4))
+    )
+)
+def test_seifert_solve_is_exact_with_deferred_row_scaling(case):
+    # rows with a zero pivot-column entry keep an older divisor, so S^T's
+    # rows end divided by different pivots; S must still solve the system
+    genus, word = case
+    surface = ChainSurface(genus)
+    m = lift_homological(word, surface)
+    k = surface.rank
+    j = surface.intersection_form()
+    i_minus_m = tuple(
+        tuple(int(r == c) - m[r][c] for c in range(k)) for r in range(k)
+    )
+    minus_j = tuple(tuple(-x for x in row) for row in j)
+    try:
+        v = seifert_from_monodromy(m, surface)
+    except ConventionError:
+        expected = _solve_right(i_minus_m, minus_j)
+        assert any(x.denominator != 1 for row in expected for x in row)
+        return
+    assert mat_mul(v, i_minus_m) == minus_j
+    vt = mat_transpose(v)
+    assert all(
+        v[r][c] - vt[r][c] == -j[r][c] for r in range(k) for c in range(k)
+    )
+
+
 # -- Alexander module ----------------------------------------------------
 
 

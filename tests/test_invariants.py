@@ -340,6 +340,18 @@ def test_seifert_alexander_matches_burau():
         assert lhs.equals_up_to_units(alexander_from_burau(w))
 
 
+@pytest.mark.parametrize(
+    "word",
+    [BraidWord(3, (1,) * 61 + (-2,) * 61), BraidWord(2, (1,) * 121)],
+    ids=["s1^61 s2^-61", "s1^121"],
+)
+def test_sparse_brick_pencils_match_burau(word):
+    # 120 x 120 brick pencils that are zero off a narrow band: the
+    # elimination leaves the rows below the band unscaled until they meet it
+    assert brick_seifert(word).size == 120
+    assert alexander_from_seifert(brick_seifert(word)) == alexander_from_burau(word)
+
+
 def test_seifert_matrix_helpers():
     s = SeifertMatrix(((-1, 1), (0, -1)))
     assert s.size == 2

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidkit import laurent
 from braidkit.braid import family_braid
@@ -408,6 +408,110 @@ def test_elimination_compares_odd_mantissas():
     first = values[2]
     assert _bareiss_det(values, exps) == expected
     assert values[0] is first
+
+
+# -- deferred row scaling --------------------------------------------------
+#
+# A row whose pivot-column entry is 0 is left as it is; it keeps the pivot
+# of its last update as its divisor, and is brought up to date (times prev
+# over that divisor) only when it becomes the pivot row or holds the final
+# entry.  Sparse matrices exercise this: rows below a band, outside a
+# block or off a permutation's support sit out several steps.
+
+
+@st.composite
+def sparse_two_adic_matrices(draw):
+    """(values, exps) nonzero on a band, a permutation or diagonal blocks,
+    with the rows shuffled; a singular case zeros a column or repeats a
+    row times a power of two."""
+    n = draw(st.integers(2, 6))
+    shape = draw(st.sampled_from(["band", "permutation", "blocks"]))
+    if shape == "band":
+        below, above = draw(st.integers(0, 2)), draw(st.integers(0, n))
+        support = {
+            (i, j) for i in range(n) for j in range(n) if -above <= i - j <= below
+        }
+    elif shape == "permutation":
+        perm = draw(st.permutations(range(n)))
+        cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        support = {(i, perm[i]) for i in range(n)}
+        support |= set(draw(st.lists(cell, max_size=n)))
+    else:
+        cuts = [0, *sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))), n]
+        support = {
+            (i, j)
+            for lo, hi in zip(cuts, cuts[1:])
+            for i in range(lo, hi)
+            for j in range(lo, hi)
+        }
+    nonzero = st.builds(
+        lambda c, k: c << k,
+        st.integers(1, 2**20) | st.integers(-(2**20), -1),
+        st.integers(0, 200),
+    )
+    entry = st.tuples(nonzero, st.integers(0, 90))
+    rows = [
+        [draw(entry) if (i, j) in support else (0, 0) for j in range(n)]
+        for i in range(n)
+    ]
+    rows = [rows[i] for i in draw(st.permutations(range(n)))]
+    values = [[v for v, _ in row] for row in rows]
+    exps = [[e for _, e in row] for row in rows]
+    singular = draw(st.sampled_from([None, "column", "row"]))
+    if singular == "column":
+        c = draw(st.integers(0, n - 1))
+        for row in values:
+            row[c] = 0
+    elif singular == "row":
+        src, dst = draw(st.permutations(range(n)))[:2]
+        scale = draw(st.integers(0, 60))
+        values[dst] = [v << (scale + exps[src][j]) for j, v in enumerate(values[src])]
+        exps[dst] = [0] * n
+    return values, exps
+
+
+def _zero_exps(n):
+    return [[0] * n for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_two_adic_matrices())
+# tridiagonal: rows 2, 3 and 4, the last, sit out one, two and three steps
+@example(
+    (
+        [
+            [3, 1, 0, 0, 0],
+            [1, 3, 1, 0, 0],
+            [0, 1, 3, 1, 0],
+            [0, 0, 1, 3, 1],
+            [0, 0, 0, 1, 3],
+        ],
+        _zero_exps(5),
+    )
+)
+# row 1 sits out step 0, then is the pivot of step 1: its up-to-date entry
+# 1 * 3 is less than the updated row's 11
+@example(([[3, 5, 1], [0, 1, 1], [5, 1, 3]], _zero_exps(3)))
+@example(([[3, 5, 1], [0, 1, 1], [5, 1, 3]], [[2, 0, 1], [0, 3, 0], [1, 0, 0]]))
+# the last row is zero but for its last entry, so only the final catch-up
+# scales it
+@example(([[3, 1, 5], [1, 7, 1], [0, 0, 9]], _zero_exps(3)))
+# singular: a zero column after step 0, and a zero final entry
+@example(([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, 1], [0, 0, 1, 5]], _zero_exps(4)))
+@example(([[1, 0, 0], [0, 3, 1], [0, 3, 1]], _zero_exps(3)))
+def test_elimination_of_sparse_matrices_matches_the_integer_determinant(case):
+    values, exps = ([list(row) for row in m] for m in case)
+    expected = _int_det(
+        [[v << e for v, e in zip(vr, er)] for vr, er in zip(values, exps)]
+    )
+    assert _bareiss_det(values, exps) == expected
+
+
+def test_elimination_leaves_a_row_with_zero_pivot_entries_untouched():
+    values = [[3, 1, 5], [1, 7, 1], [0, 0, 9]]
+    last = values[2]
+    assert _bareiss_det(values, _zero_exps(3)) == 9 * (3 * 7 - 1 * 1)
+    assert values[2] is last and last == [0, 0, 9]
 
 
 @st.composite
