@@ -11,8 +11,9 @@ links the words describe, and the Seifert form can be recovered from the
 monodromy matrix by a linear solve.
 
 All matrices here are tuples of tuples of Python ints, and the Seifert
-solve stays in the integers too (fraction-free Gauss-Jordan, no
-Fractions); sizes stay small, so exactness beats vectorization.
+solve stays in the integers too (fraction-free forward elimination and
+back substitution, no Fractions); sizes stay small, so exactness beats
+vectorization.
 A transvection touches one row, so the lift updates that row per letter;
 the product of `transvection` matrices is the reference it is tested
 against.  Alexander-module invariant factors use the rational-polynomial
@@ -205,39 +206,57 @@ def seifert_from_monodromy(matrix: IntMatrix, surface: ChainSurface) -> IntMatri
     to units.  Requires det(M - I) != 0; a non-integral solution means the
     matrix did not come from this convention and is reported as an error.
 
-    S(I - M) = -J is solved as (I - M)^T S^T = -J^T by fraction-free
-    Gauss-Jordan on the augmented rows [(I - M)^T | -J^T]: the Bareiss
-    update goes to every row but the pivot's, so each step divides exactly
-    by the previous pivot.  The left block would end as d*I with d the last
-    pivot, +-det(I - M): every eliminated column is 0 off the diagonal and
-    d on it.  So each row drops a column once it is eliminated, and S^T is
-    what is left, the right block, divided by d entry by entry.
+    S(I - M) = -J is solved as (I - M)^T S^T = -J^T: the unknowns are the
+    rows r of I - M, and right-hand side c gives row c of S.  The unknowns
+    are taken sparsest first, in increasing order of the number of nonzero
+    entries in row r of I - M (a stable sort, so ties keep index order):
+    the lifts' I - M is nearly triangular, and this order leaves few
+    entries below each pivot.
 
-    A row whose entry f in the pivot column is 0 would only be scaled by
-    pivot / prev, and over a run of such steps the factors telescope to the
-    current pivot over the pivot of the row's last real update.  So each
-    row keeps that last pivot as its divisor (1 at the start), drops its
-    first entry and is otherwise left as it is; its up-to-date entries are
-    the stored ones times prev / divisor.  A real update divides by the
-    row's divisor in place of prev, the same exact quotient, and the pivot
-    row is brought up to date before it is used.  At the end the right
-    block's row r is its stored row times d / divisor, so row r of S^T is
-    the stored row over that row's divisor; a remainder is still a
+    The forward pass is fraction-free elimination (Bareiss) of the
+    augmented rows [(I - M)^T | -J^T], with the left block's columns in
+    that order, on the rows below the pivot only, so each step divides
+    exactly by the previous pivot.  A row whose entry f in the pivot column
+    is 0 would only be scaled by pivot / prev, and over a run of such steps
+    the factors telescope to the current pivot over the pivot of the row's
+    last real update.  So each row keeps that last pivot as its divisor (1
+    at the start), drops its first entry and is otherwise left as it is;
+    its up-to-date entries are the stored ones times prev / divisor.  A
+    real update divides by the row's divisor in place of prev, the same
+    exact quotient, and the pivot row is brought up to date before it is
+    used.  That caught-up row k is row k of [U | b], an upper triangular
+    system with the same solutions, and the last pivot d is +-det(I - M).
+
+    Back substitution runs on x' = d*x, one right-hand side at a time:
+
+        u_kk * x'_k = d * b_k - sum(u_kj * x'_j for j > k).
+
+    By Cramer's rule x_k is an integer minor over det(I - M) = +-d, so
+    x'_k is an integer and the division by u_kk is exact.  S is nearly
+    bidiagonal, so most x'_j are 0, and the sum runs only over those found
+    nonzero so far.  Each x'_k is then divided by d; a remainder is a
     ConventionError.
     """
     size = surface.rank
-    if len(matrix) != size:
+    if len(matrix) != size or any(len(row) != size for row in matrix):
         raise ValueError("matrix size does not match surface rank")
     form = surface.intersection_form()
-    # row c is column c of I - M, then column c of -J
+    # entry (r, c) of I - M is nonzero when M[r][c] != delta_rc
+    order = sorted(
+        range(size),
+        key=lambda r: sum(x != int(r == c) for c, x in enumerate(matrix[r])),
+    )
+    # row c is column c of I - M, in that order, then column c of -J
     rows = [
-        [int(r == c) - matrix[r][c] for r in range(size)]
+        [int(r == c) - matrix[r][c] for r in order]
         + [-form[r][c] for r in range(size)]
         for c in range(size)
     ]
     # each row's divisor: the pivot of its last update; the row is its
     # stored entries times prev / divisor
     divs = [1] * size
+    # row k of U from column k on: u_kk, u_kj for j > k, then b_k
+    upper = []
     prev = 1
     for col in range(size):
         # every row starts at column col: the columns before it are done
@@ -246,40 +265,48 @@ def seifert_from_monodromy(matrix: IntMatrix, surface: ChainSurface) -> IntMatri
             raise ValueError("monodromy has 1 as an eigenvalue; no Seifert solve")
         rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
         divs[col], divs[pivot_row] = divs[pivot_row], divs[col]
-        pivot, *tail = rows[col]
-        div = divs[col]
-        if div != prev:
+        row = rows[col]
+        if divs[col] != prev:
             # bring the pivot row up to date
-            pivot = pivot * prev // div
-            tail = [x * prev // div for x in tail]
-        for r in range(size):
-            if r != col:
-                row = rows[r]
-                f = row[0]
-                if f:
-                    div = divs[r]
-                    rows[r] = [
-                        (pivot * x - f * y) // div
-                        for x, y in zip(islice(row, 1, None), tail)
-                    ]
-                    divs[r] = pivot
-                else:
-                    # the step would only scale the row by pivot / prev
-                    del row[0]
-        rows[col] = tail
-        divs[col] = prev = pivot
-    out = []
+            div = divs[col]
+            row = [x * prev // div for x in row]
+        upper.append(row)
+        pivot = row[0]
+        tail = row[1:]
+        for r in range(col + 1, size):
+            below = rows[r]
+            f = below[0]
+            if f:
+                div = divs[r]
+                rows[r] = [
+                    (pivot * x - f * y) // div
+                    for x, y in zip(islice(below, 1, None), tail)
+                ]
+                divs[r] = pivot
+            else:
+                # the step would only scale the row by pivot / prev
+                del below[0]
+        prev = pivot
+    d = prev  # +-det(I - M)
+    out = [[0] * size for _ in range(size)]
     for c in range(size):
-        row = []
-        for r in range(size):
-            q, rem = divmod(rows[r][c], divs[r])
-            if rem:
-                raise ConventionError(
-                    "Seifert solve is non-integral; convention mismatch"
-                )
-            row.append(q)
-        out.append(tuple(row))
-    return tuple(out)
+        found = []  # (j, x'_j) with x'_j != 0
+        for k in range(size - 1, -1, -1):
+            u = upper[k]
+            # u[j - k] is u_kj, u[size - k + c] is b_k of right-hand side c
+            acc = d * u[size - k + c]
+            for j, x in found:
+                acc -= u[j - k] * x
+            if acc:
+                x = acc // u[0]
+                q, rem = divmod(x, d)
+                if rem:
+                    raise ConventionError(
+                        "Seifert solve is non-integral; convention mismatch"
+                    )
+                out[c][order[k]] = q
+                found.append((k, x))
+    return tuple(map(tuple, out))
 
 
 def alexander_module_invariants(

@@ -88,10 +88,11 @@ balanced digits, in [-2**(B-1), 2**(B-1)), hold every integer of size at
 most bound; `LaurentPoly.from_packed(value, bits, offset)` reads a packed
 value back, which is how the Burau product of `invariants` is unpacked.
 `_pack` and `_unpack` split in halves.  Packing adds the low half to the
-high half shifted by h*B; unpacking takes the low h digits of a value as its
-residue mod 2**(h*B) moved into the balanced range and the rest as the
-exact quotient.  Both halves recurse, so k digits cost O(k B log k) bit
-operations rather than the O(k**2 B) of one digit at a time.
+high half shifted by h*B.  Unpacking first adds 2**(B-1) to every slot,
+which makes every digit nonnegative, so the value splits with masks and
+shifts, and then takes 2**(B-1) off each digit.  Both halves recurse, so k
+digits cost O(k B log k) bit operations rather than the O(k**2 B) of one
+digit at a time.
 
 It also holds the rational polynomial arithmetic (dense ascending Fraction
 tuples: trim, add, negate, multiply, divmod, monic, and conversion from a
@@ -372,31 +373,37 @@ def slot_bits(bound: int) -> int:
 
 def _unpack(value: int, bits: int) -> list[int]:
     """Balanced base-2**bits digits of value, lowest first, no top zeros."""
-    digits = _split(value, bits, value.bit_length() // bits + 1)
+    # a top digit 1 in slot t over digits -2**(bits-1) leaves a value just
+    # under 2**(t*bits - 1), so t can be bit_length // bits + 1
+    count = value.bit_length() // bits + 2
+    # half = 2**(bits-1) in every slot turns each digit d into d + half >= 0
+    half = 1 << (bits - 1)
+    slots, filled = half, 1
+    while filled < count:
+        slots |= slots << (filled * bits)
+        filled *= 2
+    slots &= (1 << (count * bits)) - 1
+    digits = _split(value + slots, bits, count, half)
     while digits and not digits[-1]:
         digits.pop()
     return digits
 
 
-def _split(value: int, bits: int, count: int) -> list[int]:
-    # value has count balanced digits; the low h of them sum to the residue
-    # of value mod 2**(h*bits) in [-2**(h*bits-1), 2**(h*bits-1)).  A few
-    # digits are cheaper peeled one at a time than split.
+def _split(value: int, bits: int, count: int, half: int) -> list[int]:
+    # value is nonnegative with count digits in [0, 2**bits); each comes
+    # out minus half.  A few digits are cheaper peeled one at a time.
     if count <= 8:
-        half = 1 << (bits - 1)
         mask = (1 << bits) - 1
         out = []
         for _ in range(count):
-            d = ((value + half) & mask) - half
-            out.append(d)
-            value = (value - d) >> bits
+            out.append((value & mask) - half)
+            value >>= bits
         return out
     h = count // 2
     width = h * bits
-    low = value & ((1 << width) - 1)
-    if low >> (width - 1):
-        low -= 1 << width
-    return _split(low, bits, h) + _split((value - low) >> width, bits, count - h)
+    return _split(value & ((1 << width) - 1), bits, h, half) + _split(
+        value >> width, bits, count - h, half
+    )
 
 
 def packed_l1(value: int, bits: int) -> int:

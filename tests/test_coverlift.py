@@ -356,6 +356,70 @@ def test_seifert_solve_is_exact_with_deferred_row_scaling(case):
     )
 
 
+def _assert_seifert_identities(v, m, surface):
+    # S(I - M) = -J and S - S^T = -J
+    k = surface.rank
+    j = surface.intersection_form()
+    i_minus_m = tuple(
+        tuple(int(r == c) - m[r][c] for c in range(k)) for r in range(k)
+    )
+    assert mat_mul(v, i_minus_m) == tuple(tuple(-x for x in row) for row in j)
+    vt = mat_transpose(v)
+    assert all(
+        v[r][c] - vt[r][c] == -j[r][c] for r in range(k) for c in range(k)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda g: st.tuples(
+            st.just(g), st.integers(0, 3), small_words(genus=g, max_len=16)
+        )
+    )
+)
+def test_seifert_solve_on_conjugated_family_words(case):
+    # conjugation keeps the unknot closure, so I - M stays unimodular and S
+    # integral, but S is denser than the family's nearly bidiagonal one
+    genus, power, conjugator = case
+    surface = ChainSurface(genus)
+    word = conjugator * family_braid(genus, power) * conjugator.inverse()
+    m = lift_homological(word, surface)
+    k = surface.rank
+    i_minus_m = [[int(r == c) - m[r][c] for c in range(k)] for r in range(k)]
+    minus_j = [[-x for x in row] for row in surface.intersection_form()]
+    expected = _solve_right(i_minus_m, minus_j)
+    assert all(x.denominator == 1 for row in expected for x in row)
+    v = seifert_from_monodromy(m, surface)
+    assert v == tuple(tuple(int(x) for x in row) for row in expected)
+    _assert_seifert_identities(v, m, surface)
+
+
+def test_seifert_solve_on_the_monodromy_lift_grid():
+    for genus in range(2, 11):
+        surface = ChainSurface(genus)
+        for power in range(11):
+            m = lift_homological(family_braid(genus, power), surface)
+            v = seifert_from_monodromy(m, surface)
+            _assert_seifert_identities(v, m, surface)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        ((1, -1),),
+        ((1, -1, 99), (1, 0, 99)),
+        ((1, -1), (1, 0, 99)),
+        ((1, -1), (1,)),
+        ((1,), (1,)),
+    ],
+)
+def test_seifert_solve_rejects_rows_of_the_wrong_length(matrix):
+    # the trefoil lift is ((1, -1), (1, 0)); no row may be cut or padded
+    with pytest.raises(ValueError, match="does not match surface rank"):
+        seifert_from_monodromy(matrix, ChainSurface(1))
+
+
 # -- Alexander module ----------------------------------------------------
 
 

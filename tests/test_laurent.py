@@ -1011,11 +1011,12 @@ def test_charpoly_evaluates_to_det(m):
 
 @st.composite
 def balanced_digits(draw):
-    """A slot width and digits of size at most 2**(bits - 1) - 1."""
+    """A slot width and digits in [-2**(bits - 1), 2**(bits - 1))."""
     bits = draw(st.integers(2, 80))
     top = (1 << (bits - 1)) - 1
+    low = -(1 << (bits - 1))
     digit = st.one_of(
-        st.sampled_from([0, 1, -1, top, -top]), st.integers(-top, top)
+        st.sampled_from([0, 1, -1, top, -top, low]), st.integers(low, top)
     )
     # up to 40 digits, so the halving split recurses several levels
     return bits, draw(st.lists(digit, max_size=40))
@@ -1035,12 +1036,18 @@ def test_packing_round_trips(case, offset):
 @pytest.mark.parametrize("bits", [2, 3, 7, 8, 64, 80])
 def test_packing_extreme_digits(bits):
     top = (1 << (bits - 1)) - 1
+    low = -(1 << (bits - 1))
     assert LaurentPoly.from_packed(0, bits, -3).is_zero()
     for count in (1, 2, 9, 17, 33):
         for digits in (
             [top] * count,
             [-top] * count,
             [top, -top] * count,
+            [low] * count,
+            [low] * count + [1],  # the top digit above a run of lowest ones
+            [low, top] * count,
+            [top, low] * count,
+            [1] + [0] * count + [low],
             [0] * count + [-1],  # negative top coefficient, zeros below
             [1] + [0] * count + [-top],
         ):
@@ -1048,6 +1055,15 @@ def test_packing_extreme_digits(bits):
             assert _unpack(value, bits) == digits
             poly = LaurentPoly.from_packed(value, bits, -count)
             assert poly == LaurentPoly(-count, tuple(digits))
+
+
+def test_packing_reads_the_lowest_digit():
+    # a low half ending in -2**(bits-1) once borrowed from the digit above
+    assert LaurentPoly.from_packed(
+        _pack([-1, 0, 0, -128, 0, 0, 0, 0, 1], 8), 8
+    ).coeffs == (-1, 0, 0, -128, 0, 0, 0, 0, 1)
+    # and a top digit above three lowest digits was left uncounted
+    assert _unpack(_pack([-128, -128, -128, 1], 8), 8) == [-128, -128, -128, 1]
 
 
 @given(st.integers(0, 2**200))
