@@ -14,6 +14,7 @@ returned inconclusive.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -163,12 +164,10 @@ def _cmd_sweep(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as handle:
             config = parse_config(handle.read())
-        if args.parallelism is not None:
-            config = type(config)(
-                **{**config.__dict__, "parallelism": args.parallelism}
-            )
-        if args.output is not None:
-            config = type(config)(**{**config.__dict__, "output": args.output})
+        overrides = {"parallelism": args.parallelism, "output": args.output}
+        config = dataclasses.replace(
+            config, **{k: v for k, v in overrides.items() if v is not None}
+        )
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

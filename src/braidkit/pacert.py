@@ -8,14 +8,15 @@ A word in the twists is pseudo-Anosov exactly when its image is hyperbolic,
 so the verdict reduces to comparing |trace| with 2.
 
 The trace of any twist word is a polynomial tr in mu with integer
-coefficients: matrices here keep even and odd parts in s separate, and the
-diagonal is always even.  The verdict is the pair of exact signs of
-tr - 2 and tr + 2 at mu (`_sign_at_mu`), each read from its remainder mod
-the characteristic polynomial: a zero is decided by a polynomial gcd with
-the characteristic polynomial plus a Sturm count on the isolating
-enclosure, and a nonzero sign by halving the enclosure toward mu until the
-remainder's own Sturm chain counts no root in it.  No margin is involved,
-so every word gets a verdict; trace and dilatation are float summaries.
+coefficients: conjugating by diag(1, s) takes both multitwists into
+SL(2, Z[mu]) and keeps every trace (`trace_polynomial`).  The verdict is
+the pair of exact signs of tr - 2 and tr + 2 at mu (`_sign_at_mu`), each
+read from its remainder mod the characteristic polynomial: a zero is
+decided by a polynomial gcd with the characteristic polynomial plus a
+Sturm count on the isolating enclosure, and a nonzero sign by halving the
+enclosure toward mu until the remainder's own Sturm chain counts no root
+in it.  No margin is involved, so every word gets a verdict; trace and
+dilatation are float summaries.
 
 Everything those tests need from the pair is a pure function of it: the
 characteristic polynomial of N N^T, its integer Sturm chain and the
@@ -192,74 +193,31 @@ def parse_twist_word(text: str) -> TwistWord:
     return tuple(out)
 
 
-# 2x2 matrices over Z[mu] + Z[mu]s with s^2 = mu: each entry is a pair
-# (even, odd) of integer polynomials in mu, standing for even + odd*s.
-_Sym = tuple[LaurentPoly, LaurentPoly]
-_SymMatrix = tuple[tuple[_Sym, _Sym], tuple[_Sym, _Sym]]
-
-_ZERO = LaurentPoly.zero()
-_ONE = LaurentPoly.one()
-_MU = LaurentPoly.t()
-
-
-def _sym_mul(x: _Sym, y: _Sym) -> _Sym:
-    (a, b), (c, d) = x, y
-    return (a * c + _MU * (b * d), a * d + b * c)
-
-
-def _sym_add(x: _Sym, y: _Sym) -> _Sym:
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _mat_mul(m: _SymMatrix, n: _SymMatrix) -> _SymMatrix:
-    out = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            row.append(
-                _sym_add(
-                    _sym_mul(m[i][0], n[0][j]), _sym_mul(m[i][1], n[1][j])
-                )
-            )
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _generator(symbol: str, exponent: int) -> _SymMatrix:
-    s = (_ZERO, _ONE if exponent > 0 else -_ONE)
-    neg_s = (_ZERO, -_ONE if exponent > 0 else _ONE)
-    one = (_ONE, _ZERO)
-    zero = (_ZERO, _ZERO)
-    if symbol == "A":
-        return ((one, neg_s), (zero, one))
-    if symbol == "B":
-        return ((one, zero), (s, one))
-    raise ValueError(f"unknown twist symbol {symbol!r}")
-
-
-def twist_matrix(word: TwistWord) -> _SymMatrix:
-    acc: _SymMatrix = (
-        ((_ONE, _ZERO), (_ZERO, _ZERO)),
-        ((_ZERO, _ZERO), (_ONE, _ZERO)),
-    )
-    for symbol, exponent in word:
-        acc = _mat_mul(_generator(symbol, exponent), acc)
-    return acc
-
-
 def trace_polynomial(word: TwistWord) -> LaurentPoly:
     """Trace of the represented word as an integer polynomial in mu.
 
-    Diagonal entries of twist-word matrices are always even in s, so the
-    trace never carries an s part.
+    Conjugating by D = diag(1, s) sends A^e = [[1, -e s], [0, 1]] to
+    [[1, -e], [0, 1]] and B^e = [[1, 0], [e s, 1]] to [[1, 0], [e mu, 1]].
+    Trace is invariant under conjugation, so the word is carried in
+    SL(2, Z[mu]) as [[a, b], [c, d]]: each letter multiplies from the
+    left and changes one row.
     """
     if not word:
         raise ValueError("empty twist word has no classification")
-    m = twist_matrix(word)
-    tr = _sym_add(m[0][0], m[1][1])
-    if not tr[1].is_zero():
-        raise AssertionError("twist word trace acquired an odd part")
-    return tr[0]
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    a, b, c, d = one, zero, zero, one
+    for symbol, exponent in word:
+        if exponent not in (1, -1):
+            raise ValueError(f"twist exponent {exponent!r} is not 1 or -1")
+        if symbol == "A":
+            step = LaurentPoly.constant(exponent)
+            a, b = a - step * c, b - step * d
+        elif symbol == "B":
+            step = LaurentPoly.monomial(1, exponent)
+            c, d = c + step * a, d + step * b
+        else:
+            raise ValueError(f"unknown twist symbol {symbol!r}")
+    return a + d
 
 
 def _sign_at_mu(q: LaurentPoly, cert: MuCertificate) -> int:

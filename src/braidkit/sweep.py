@@ -40,13 +40,10 @@ from .twobridge import cf_to_fraction, crosscheck_w0
 
 CHECK_GROUPS = ("unknot", "alexander", "fibred", "pa", "twobridge")
 
-# registry-style names map onto sweep column groups
+# registry names whose claim a sweep column group evaluates
 _GROUP_ALIASES = {
     "alexander-trivial": "alexander",
     "fibre-genus": "fibred",
-    "homology-invariance": "fibred",
-    "alexander-module": "fibred",
-    "growth-proxy": "fibred",
     "twobridge-crosscheck": "twobridge",
 }
 
@@ -154,7 +151,14 @@ def parse_config(text: str) -> SweepConfig:
             name = name.strip()
             if not name:
                 continue
-            groups.append(_GROUP_ALIASES.get(name, name))
+            group = _GROUP_ALIASES.get(name, name)
+            if group not in CHECK_GROUPS:
+                raise ConfigError(
+                    f"{name!r} is not a sweep check group "
+                    f"({', '.join(CHECK_GROUPS)}); a registry check runs "
+                    f"with `braidkit check {name}`"
+                )
+            groups.append(group)
         kwargs["checks"] = tuple(dict.fromkeys(groups))
     if "output" in values:
         kwargs["output"] = values["output"]

@@ -350,6 +350,23 @@ def test_parse_config_single_values_and_aliases():
     assert "pa" in cfg.checks
 
 
+@pytest.mark.parametrize(
+    "name", ["growth-proxy", "homology-invariance", "alexander-module"]
+)
+def test_registry_checks_without_a_sweep_group_are_refused(
+    name, tmp_path, capsys
+):
+    # no sweep column group evaluates these claims, so a sweep must not
+    # report them verified; the message points to the registry check
+    text = f"genus = 1\npower = 0\nchecks = pa, {name}\n"
+    with pytest.raises(ConfigError, match=f"braidkit check {name}"):
+        parse_config(text)
+    config = tmp_path / "alias.cfg"
+    config.write_text(text)
+    assert main(["sweep", "--config", str(config)]) == 1
+    assert f"`braidkit check {name}`" in capsys.readouterr().err
+
+
 def test_parse_config_errors():
     with pytest.raises(ConfigError):
         parse_config("power = 0..3\n")  # genus missing

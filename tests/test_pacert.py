@@ -147,14 +147,59 @@ def test_parse_twist_word():
 
 
 def test_trace_polynomials_exact():
-    # traces come out even in the half-twist symbol, so they are honest
-    # polynomials in the eigenvalue; these three are the load-bearing ones
+    # conjugated into SL(2, Z[mu]), traces are integer polynomials in the
+    # eigenvalue; these three are the load-bearing ones
     assert trace_polynomial(parse_twist_word("A B-")).to_text() == "0|2 1"
     assert trace_polynomial(parse_twist_word("A B")).to_text() == "0|2 -1"
     assert trace_polynomial(parse_twist_word("A")).to_text() == "0|2"
     assert trace_polynomial(parse_twist_word("A A")).to_text() == "0|2"
     with pytest.raises(ValueError):
         trace_polynomial(())
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        (("A", 0), ("B", 1)),
+        (("A", 2),),
+        (("B", -2), ("A", 1)),
+        (("C", 1),),
+    ],
+)
+def test_malformed_twist_letters_are_refused(word):
+    with pytest.raises(ValueError):
+        trace_polynomial(word)
+    with pytest.raises(ValueError):
+        classify(word, chain_pair(2))
+
+
+def _s_matrix_trace(word, s):
+    """Trace of the unconjugated product over Q, with A^e = [[1, -e s], [0, 1]]
+    and B^e = [[1, 0], [e s, 1]], each letter multiplying from the left."""
+    m = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    for symbol, e in word:
+        g = ((1, -e * s), (0, 1)) if symbol == "A" else ((1, 0), (e * s, 1))
+        m = tuple(
+            tuple(sum(g[i][k] * m[k][j] for k in range(2)) for j in range(2))
+            for i in range(2)
+        )
+    return m[0][0] + m[1][1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("AB"), st.sampled_from((1, -1))),
+        min_size=1,
+        max_size=30,
+    ),
+    st.fractions(min_value=-5, max_value=5, max_denominator=50).filter(
+        lambda s: s != 0
+    ),
+)
+def test_trace_polynomial_matches_s_matrix_product(word, s):
+    word = tuple(word)
+    assert trace_polynomial(word).eval(s * s) == _s_matrix_trace(word, s)
 
 
 def test_trace_is_conjugation_invariant():
