@@ -57,11 +57,11 @@ __version__ = "0.1.0"
 from .coverlift import (
     BranchedCoverData,
     ChainSurface,
-    alexander_module_invariants,
     branched_cover_euler,
     charpoly_int,
     fibred_alexander,
     growth_sequence,
+    is_cyclic,
     lift_homological,
     seifert_from_monodromy,
     transvection,

@@ -16,29 +16,17 @@ back substitution, no Fractions); sizes stay small, so exactness beats
 vectorization.
 A transvection touches one row, so the lift updates that row per letter;
 the product of `transvection` matrices is the reference it is tested
-against.  Alexander-module invariant factors use the rational-polynomial
-helpers of `laurent`.
+against.  Whether a lift presents a cyclic Alexander module is decided by
+one integer determinant (`is_cyclic`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 
 from .braid import BraidWord, VARIANTS, FamilySpec, build_family, family_braid
-from .laurent import (
-    LaurentPoly,
-    QPoly,
-    charpoly,
-    qadd,
-    qdivmod,
-    qmonic,
-    qmul,
-    qneg,
-    qtrim,
-    to_qpoly,
-)
+from .laurent import LaurentPoly, charpoly, det_pencil
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -309,95 +297,22 @@ def seifert_from_monodromy(matrix: IntMatrix, surface: ChainSurface) -> IntMatri
     return tuple(map(tuple, out))
 
 
-def alexander_module_invariants(
-    matrix: IntMatrix,
-) -> tuple[QPoly, ...]:
-    """Nonconstant invariant factors of tI - M over the rationals.
+def is_cyclic(matrix: IntMatrix) -> bool:
+    """Whether M makes Q^n a cyclic Q[t]-module, for a nonempty n x n M.
 
-    Diagonalization by elementary polynomial row and column moves; the
-    returned factors are monic, each divides the next, and their product
-    is the characteristic polynomial up to the monic normalization.
+    Equivalently tI - M has a single nonconstant invariant factor, and the
+    minimal polynomial of M is its characteristic polynomial.  That holds
+    exactly when I, M, ..., M^(n-1) are linearly independent, that is when
+    the Gram matrix of their flattened entries is nonsingular.
     """
     size = len(matrix)
-    work: list[list[QPoly]] = [
-        [
-            qtrim(
-                [Fraction(-matrix[r][c]), Fraction(1)]
-                if r == c
-                else [Fraction(-matrix[r][c])]
-            )
-            for c in range(size)
-        ]
-        for r in range(size)
-    ]
-
-    def nonzero_positions(top: int):
-        for r in range(top, size):
-            for c in range(top, size):
-                if work[r][c]:
-                    yield r, c
-
-    factors: list[QPoly] = []
-    for top in range(size):
-        while True:
-            best = None
-            for r, c in nonzero_positions(top):
-                if best is None or len(work[r][c]) < len(
-                    work[best[0]][best[1]]
-                ):
-                    best = (r, c)
-            if best is None:
-                break
-            br, bc = best
-            work[top], work[br] = work[br], work[top]
-            for row in work:
-                row[top], row[bc] = row[bc], row[top]
-            pivot = work[top][top]
-            dirty = False
-            for r in range(top + 1, size):
-                if work[r][top]:
-                    q, rem = qdivmod(work[r][top], pivot)
-                    if q:
-                        for c in range(top, size):
-                            work[r][c] = qadd(
-                                work[r][c], qneg(qmul(q, work[top][c]))
-                            )
-                    if work[r][top]:
-                        dirty = True
-            for c in range(top + 1, size):
-                if work[top][c]:
-                    q, rem = qdivmod(work[top][c], pivot)
-                    if q:
-                        for r in range(top, size):
-                            work[r][c] = qadd(
-                                work[r][c], qneg(qmul(q, work[r][top]))
-                            )
-                    if work[top][c]:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot clears its row and column; make it divide the rest
-            offender = None
-            for r in range(top + 1, size):
-                for c in range(top + 1, size):
-                    if work[r][c]:
-                        _, rem = qdivmod(work[r][c], pivot)
-                        if rem:
-                            offender = r
-                            break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for c in range(top, size):
-                work[top][c] = qadd(work[top][c], work[offender][c])
-        factors.append(qmonic(work[top][top]))
-    return tuple(f for f in factors if len(f) >= 2)
-
-
-def qpoly_from_laurent(poly: LaurentPoly) -> QPoly:
-    """Monic rational form of an integer polynomial with offset 0."""
-    return qmonic(to_qpoly(poly))
+    power = mat_identity(size)
+    flat = []
+    for _ in range(size):
+        flat.append([x for row in power for x in row])
+        power = mat_mul(power, matrix)
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in flat] for u in flat]
+    return not det_pencil(gram, [[0] * size for _ in range(size)]).is_zero()
 
 
 def growth_sequence(

@@ -94,16 +94,22 @@ shifts, and then takes 2**(B-1) off each digit.  Both halves recurse, so k
 digits cost O(k B log k) bit operations rather than the O(k**2 B) of one
 digit at a time.
 
-It also holds the rational polynomial arithmetic (dense ascending Fraction
-tuples: trim, add, negate, multiply, divmod, monic, and conversion from a
-LaurentPoly) on which the rational gcd, Sturm root counting, the mu tests
-of `pacert` and the Alexander-module factors of `coverlift` are built.
+It also holds the integer polynomial arithmetic (dense ascending int
+lists) of root counting and of the mu tests of `pacert`.  `_divide(a, b)`
+is pseudo-division: the quotient and remainder of |lc(b)|**k * a by b,
+with k = len(a) - len(b) + 1.  The multiplier is positive, so every sign
+is kept, and it is 1 when b is monic, so reduction modulo a characteristic
+polynomial is exact.  `poly_gcd` is the primitive remainder sequence on it
+(each pseudo-remainder over its content).
 
-Root counting is fraction-free.  A Sturm chain is built once over the
-rationals, divided by gcd(p, p') and scaled row by row to integers by
-positive factors, which keep every sign.  The sign of a row q of degree d at
-x = a/b (b > 0) is the sign of the integer sum c_i a^i b^(d-i), which is
-b^d q(x).  Bisections pass the prebuilt `SturmChain` to `count_roots_in`.
+Root counting is fraction-free.  A Sturm chain starts from p times the
+positive lcm of its denominators and from its derivative; each next row is
+minus the pseudo-remainder of the two before it over its content, so row i
+is a positive multiple of the rational chain's row i and keeps every sign
+(Collins, JACM 1967).  The rows are then divided exactly by the last one,
+gcd(p, p').  The sign of a row q of degree d at x = a/b (b > 0) is the
+sign of the integer sum c_i a^i b^(d-i), which is b^d q(x).  Bisections
+pass the prebuilt `SturmChain` to `count_roots_in`.
 """
 
 from __future__ import annotations
@@ -577,88 +583,55 @@ def charpoly(matrix) -> LaurentPoly:
     return det_pencil(minus, identity)
 
 
-# -- rational polynomials ----------------------------------------------
-
-QPoly = tuple[Fraction, ...]
-# rational polynomials, coefficient of t^k at position k, no trailing zeros
-
-
-def qtrim(coeffs) -> QPoly:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
+# -- integer polynomials -----------------------------------------------
+# dense ascending integer coefficient lists: the coefficient of t^k at
+# position k
 
 
-def qadd(p: QPoly, q: QPoly) -> QPoly:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return qtrim(out)
+def _divide(a, b) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of |lc(b)|**k * a by b.
 
-
-def qneg(p: QPoly) -> QPoly:
-    return tuple(-c for c in p)
-
-
-def qmul(p: QPoly, q: QPoly) -> QPoly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return qtrim(out)
-
-
-def qdivmod(p: QPoly, q: QPoly) -> tuple[QPoly, QPoly]:
-    """Quotient and remainder of p by q over the rationals (unique)."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    dq = len(q) - 1
-    lead = q[-1]
-    quo = [Fraction(0)] * max(len(rem) - dq, 0)
-    for k in range(len(rem) - 1, dq - 1, -1):
-        c = rem[k]
+    k = max(len(a) - len(b) + 1, 0), and b is nonzero with no trailing
+    zeros.  The multiplier is positive, so every sign is kept, and 1 when b
+    is monic.  It is taken up front: the rational quotient's coefficients
+    have denominators dividing lc(b)**k, so every step's division by lc(b)
+    is exact.  Neither result is trimmed.
+    """
+    db = len(b) - 1
+    lead = b[-1]
+    k = max(len(a) - db, 0)
+    scale = abs(lead) ** k
+    rem = [c * scale for c in a]
+    quo = [0] * k
+    for i in range(k - 1, -1, -1):
+        c = rem[i + db]
         if c:
-            f = c / lead
-            quo[k - dq] = f
-            for j in range(dq):
-                rem[k - dq + j] -= f * q[j]
-    # every entry from dq up was cancelled exactly
-    return qtrim(quo), qtrim(rem[:dq])
+            f = quo[i] = c // lead
+            for j in range(db):
+                rem[i + j] -= f * b[j]
+    return quo, rem[:db]
 
 
-def qmonic(p: QPoly) -> QPoly:
-    if not p:
-        return p
-    lead = p[-1]
-    return tuple(c / lead for c in p)
+def _primitive(row) -> list[int]:
+    """row without trailing zeros, over the positive gcd of its entries."""
+    n = len(row)
+    while n and not row[n - 1]:
+        n -= 1
+    content = gcd(*row[:n])
+    return [c // content for c in row[:n]]
 
 
-def to_qpoly(poly: LaurentPoly) -> QPoly:
-    """Rational coefficients of a Laurent polynomial with no negative exponents."""
-    if poly.is_zero():
-        return ()
-    if poly.offset < 0:
-        raise ValueError("negative exponents have no polynomial form")
-    return (Fraction(0),) * poly.offset + tuple(Fraction(c) for c in poly.coeffs)
-
-
-def poly_gcd_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of two rational coefficient polynomials (dense, ascending)."""
-    a, b = qtrim(a), qtrim(b)
+def poly_gcd(a, b) -> list[int]:
+    """Primitive gcd, up to sign, of two integer polynomials (dense,
+    ascending): the remainder sequence of pseudo-remainders over content."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, qdivmod(a, b)[1]
-    return list(qmonic(a))
+        a, b = b, _primitive(_divide(a, b)[1])
+    return a
 
 
 class SturmChain(list):
-    """Sturm chain of a rational polynomial as integer rows (dense, ascending).
+    """Sturm chain of a polynomial as integer rows (dense, ascending).
 
     Row i is a positive integer multiple of p_i / gcd(p, p'), where p_i is
     the rational Sturm chain.  The positive scale keeps every sign; the
@@ -669,16 +642,17 @@ class SturmChain(list):
 
 
 def sturm_chain(p) -> SturmChain:
-    """Sturm chain of a squarefree-or-not rational polynomial (dense, ascending)."""
-    p0 = qtrim([Fraction(c) for c in p])
+    """Sturm chain of a polynomial with int or Fraction coefficients (dense,
+    ascending), squarefree or not."""
+    p = [Fraction(c) for c in p]
+    scale = lcm(*(c.denominator for c in p))
+    p0 = _primitive([int(c * scale) for c in p])
     if not p0:
         return SturmChain()
-    p1 = qtrim([i * c for i, c in enumerate(p0)][1:])
-    chain = [p0]
-    if p1:
-        chain.append(p1)
+    p1 = _primitive([i * c for i, c in enumerate(p0)][1:])
+    chain = [p0, p1] if p1 else [p0]
     while len(chain[-1]) > 1:
-        rem = qneg(qdivmod(chain[-2], chain[-1])[1])
+        rem = _primitive([-c for c in _divide(chain[-2], chain[-1])[1]])
         if not rem:
             break
         chain.append(rem)
@@ -686,16 +660,8 @@ def sturm_chain(p) -> SturmChain:
     # the squarefree part, which stays nonzero at multiple roots of p
     common = chain[-1]
     if len(common) > 1:
-        chain = [qdivmod(q, common)[0] for q in chain]
-    return SturmChain(_integer_row(q) for q in chain)
-
-
-def _integer_row(q: QPoly) -> list[int]:
-    """q times the positive lcm of its denominators, over the numerators' gcd."""
-    scale = lcm(*(c.denominator for c in q))
-    row = [int(c * scale) for c in q]
-    content = gcd(*row)
-    return [c // content for c in row]
+        chain = [_primitive(_divide(q, common)[0]) for q in chain]
+    return SturmChain(chain)
 
 
 def _sign_changes(chain: SturmChain, x: Fraction) -> int:
@@ -723,11 +689,14 @@ def _sign_changes(chain: SturmChain, x: Fraction) -> int:
     return changes
 
 
-def count_roots_in(p: QPoly | SturmChain, lo: Fraction, hi: Fraction) -> int:
+def count_roots_in(p, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi].
 
-    p is a rational polynomial (dense, ascending) or its `SturmChain`.
+    p is a polynomial (dense, ascending, int or Fraction coefficients) or
+    its `SturmChain`.  lo == hi is the empty interval; lo > hi is an error.
     """
+    if lo > hi:
+        raise ValueError(f"root counting on ({lo}, {hi}]: lo > hi")
     chain = p if isinstance(p, SturmChain) else sturm_chain(p)
     if not chain:
         raise ValueError("root counting for the zero polynomial")

@@ -34,14 +34,12 @@ from functools import lru_cache
 
 from .laurent import (
     LaurentPoly,
-    QPoly,
     SturmChain,
+    _divide,
     charpoly,
     count_roots_in,
-    poly_gcd_q,
-    qdivmod,
+    poly_gcd,
     sturm_chain,
-    to_qpoly,
 )
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -120,15 +118,21 @@ def _gram(pair: MulticurvePair) -> IntMatrix:
 class MuCertificate:
     """Everything the exact mu tests of one pair share.
 
-    poly is the characteristic polynomial of N N^T, chain its integer Sturm
-    chain, and (lo, hi] an enclosure of mu of width <= MU_TOLERANCE that
-    isolates a single distinct root.
+    poly is the monic characteristic polynomial of N N^T (integer
+    coefficients, dense, ascending), chain its integer Sturm chain, and
+    (lo, hi] an enclosure of mu of width <= MU_TOLERANCE that isolates a
+    single distinct root.
     """
 
-    poly: QPoly
+    poly: tuple[int, ...]
     chain: SturmChain
     lo: Fraction
     hi: Fraction
+
+
+def _dense(poly: LaurentPoly) -> tuple[int, ...]:
+    """Dense ascending coefficients of a polynomial with no negative exponents."""
+    return (0,) * poly.offset + poly.coeffs
 
 
 def _step(
@@ -147,7 +151,7 @@ def mu_certificate(pair: MulticurvePair) -> MuCertificate:
     if all(x == 0 for row in pair.matrix for x in row):
         raise ValueError("zero intersection matrix has no top eigenvalue")
     gram = _gram(pair)
-    poly = to_qpoly(charpoly(gram))
+    poly = _dense(charpoly(gram))
     chain = sturm_chain(poly)
     # no eigenvalue exceeds the largest absolute row sum of the Gram matrix
     lo, hi = Fraction(0), Fraction(max(sum(map(abs, r)) for r in gram) + 1)
@@ -223,15 +227,16 @@ def trace_polynomial(word: TwistWord) -> LaurentPoly:
 def _sign_at_mu(q: LaurentPoly, cert: MuCertificate) -> int:
     """Sign of q(mu), exactly: -1, 0 or 1.
 
-    mu is a root of the charpoly, so q(mu) = r(mu) for r = q mod charpoly,
-    whose degree is below the charpoly's however long q is.  r(mu) = 0
-    exactly when gcd(r, charpoly) has a root in the isolating enclosure.
-    Otherwise r has a root-free neighbourhood of mu, so the enclosure is
-    halved toward mu until r's own Sturm chain counts no root in (lo, hi];
-    r then has one sign on (lo, hi], which holds mu and hi.
+    mu is a root of the charpoly, so q(mu) = r(mu) for r = q mod charpoly
+    (exact, the charpoly being monic), whose degree is below the
+    charpoly's however long q is.  r(mu) = 0 exactly when gcd(r, charpoly)
+    has a root in the isolating enclosure.  Otherwise r has a root-free
+    neighbourhood of mu, so the enclosure is halved toward mu until r's own
+    Sturm chain counts no root in (lo, hi]; r then has one sign on (lo, hi],
+    which holds mu and hi.
     """
-    rem = qdivmod(to_qpoly(q), cert.poly)[1]
-    if count_roots_in(poly_gcd_q(rem, cert.poly), cert.lo, cert.hi):
+    rem = _divide(_dense(q), cert.poly)[1]
+    if count_roots_in(poly_gcd(rem, cert.poly), cert.lo, cert.hi):
         return 0
     own = sturm_chain(rem)
     lo, hi = cert.lo, cert.hi

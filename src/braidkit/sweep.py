@@ -143,7 +143,9 @@ def parse_config(text: str) -> SweepConfig:
     }
     if "variant" in values:
         kwargs["variants"] = tuple(
-            v.strip() for v in values["variant"].split(",") if v.strip()
+            dict.fromkeys(
+                v.strip() for v in values["variant"].split(",") if v.strip()
+            )
         )
     if "checks" in values:
         groups = []

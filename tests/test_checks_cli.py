@@ -125,6 +125,9 @@ def test_genus_limits_are_declared_in_the_registry():
         ("homology-invariance", {"genus": 2.5}),
         ("growth-proxy", {"genus": 2, "power_lo": 2.5}),
         ("growth-proxy", {"genus": 2, "power_hi": [10]}),
+        ("unknot", {"genus": True}),
+        ("unknot", {"genus": 2, "power": False}),
+        ("growth-proxy", {"genus": 2, "power_lo": True}),
     ],
 )
 def test_non_integer_check_parameters_are_errors(name, params):
@@ -348,6 +351,17 @@ def test_parse_config_single_values_and_aliases():
     assert cfg.genus == (2,)
     assert cfg.power == (0,)
     assert "pa" in cfg.checks
+
+
+def test_parse_config_drops_duplicate_values():
+    # a value named twice is one grid point, as genus, power and checks are
+    cfg = parse_config(
+        "genus = 2, 2\npower = 0, 0\nvariant = original, original\n"
+        "checks = pa, pa\n"
+    )
+    assert (cfg.genus, cfg.power, cfg.variants) == ((2,), (0,), ("original",))
+    assert cfg.checks == ("pa",)
+    assert len(run_sweep(cfg)) == 1
 
 
 @pytest.mark.parametrize(
@@ -921,6 +935,21 @@ def test_verify_all_script_smoke(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: empty genus range 3..1\n"
     assert "checks:" not in captured.out
+
+
+def test_registry_report_bytes_are_pinned(tmp_path, capsys):
+    # every registered check at genus 1..4, power 0, as verify_all runs
+    # them: the pa verdicts and floats and the alexander-module records
+    # are in no sweep, so their bytes are pinned here
+    script = _script("verify_all")
+    out = tmp_path / "report.json"
+    argv = ["--genus", "1", "--max-genus", "4", "--power", "0", "--json", str(out)]
+    assert script.main(argv) == 0
+    assert "37 checks: verified=37; skipped 7 off-genus" in capsys.readouterr().out
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest()
+        == "a7583d138c3f50244c0b7be6f713ba483b560891601cf04ecfa1d8952032637f"
+    )
 
 
 def test_growth_table_script_smoke(tmp_path, capsys):

@@ -10,22 +10,22 @@ from braidkit.braid import BraidWord, FamilySpec, family_braid
 from braidkit.coverlift import (
     ChainSurface,
     ConventionError,
-    alexander_module_invariants,
     branched_cover_euler,
     charpoly_int,
     fibred_alexander,
     growth_sequence,
+    is_cyclic,
     is_symplectic,
     lift_homological,
     mat_identity,
     mat_max_abs,
     mat_mul,
     mat_transpose,
-    qpoly_from_laurent,
     seifert_from_monodromy,
     transvection,
 )
 from braidkit.invariants import SeifertMatrix, alexander_from_seifert
+from braidkit.laurent import LaurentPoly
 
 
 def small_words(genus=2, max_len=8):
@@ -423,10 +423,6 @@ def test_seifert_solve_rejects_rows_of_the_wrong_length(matrix):
 # -- Alexander module ----------------------------------------------------
 
 
-def F(x):
-    return Fraction(x)
-
-
 def test_monodromy_lift_pencils_take_one_slot():
     # the 99 charpolys and 99 Seifert pencils of genus 2..10, power 0..10
     calls = []
@@ -450,62 +446,113 @@ def test_monodromy_lift_pencils_take_one_slot():
 
 
 def test_module_invariants_identity():
-    assert alexander_module_invariants(((1, 0), (0, 1))) == (
-        (F(-1), F(1)),
-        (F(-1), F(1)),
-    )
+    # tI - I has the invariant factors t - 1, t - 1
+    assert not is_cyclic(((1, 0), (0, 1)))
 
 
 def test_module_invariants_single_factor():
     m = lift_homological(family_braid(2, 0, "enhanced"), ChainSurface(2))
-    factors = alexander_module_invariants(m)
-    assert len(factors) == 1
-    assert factors[0] == qpoly_from_laurent(charpoly_int(m))
+    assert is_cyclic(m)
 
 
-def _qp_mul(p, q):
-    out = [F(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def _companion(coeffs):
+    # companion matrix of t^n + coeffs[n-1] t^(n-1) + ... + coeffs[0]
+    n = len(coeffs)
+    return tuple(
+        tuple(-coeffs[i] if j == n - 1 else int(i == j + 1) for j in range(n))
+        for i in range(n)
+    )
 
 
-def _qp_divides(p, q):
-    # does p divide q over the rationals
-    r = list(q)
-    while len(r) >= len(p) and any(r):
-        if r[-1] == 0:
-            r.pop()
+def _block_diagonal(a, b):
+    n, m = len(a), len(b)
+    return tuple(tuple(row) + (0,) * m for row in a) + tuple(
+        (0,) * n + tuple(row) for row in b
+    )
+
+
+def _fraction_rank(rows):
+    # Gauss-Jordan over the rationals
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
             continue
-        c = r[-1] / p[-1]
-        shift = len(r) - len(p)
-        for i, a in enumerate(p):
-            r[shift + i] -= c * a
-        r.pop()
-    return not any(r)
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.integers(-3, 3), min_size=3, max_size=3),
-        min_size=3,
-        max_size=3,
+monic_coeffs = st.lists(st.integers(-6, 6), min_size=1, max_size=4)
+square_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.one_of(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        ).map(lambda m: tuple(map(tuple, m))),
+        # scalar matrices: cyclic at n = 1 only
+        st.integers(-3, 3).map(
+            lambda c: tuple(
+                tuple(c * int(i == j) for j in range(n)) for i in range(n)
+            )
+        ),
     )
 )
-def test_module_invariants_multiply_to_charpoly(m):
-    matrix = tuple(tuple(row) for row in m)
-    factors = alexander_module_invariants(matrix)
-    product = (F(1),)
-    for f in factors:
-        assert f[-1] == 1  # monic
-        product = _qp_mul(product, f)
-    assert product == qpoly_from_laurent(charpoly_int(matrix))
-    for a, b in zip(factors, factors[1:]):
-        assert _qp_divides(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monic_coeffs, st.integers(-3, 3), st.integers(2, 4))
+def test_is_cyclic_on_companions_and_repeated_blocks(coeffs, c, n):
+    companion = _companion(coeffs)
+    assert charpoly_int(companion) == LaurentPoly.from_coeffs(coeffs + [1])
+    assert is_cyclic(companion)
+    # two copies of one module, and a scalar, need n generators
+    assert not is_cyclic(_block_diagonal(companion, companion))
+    scalar = tuple(tuple(c * int(i == j) for j in range(n)) for i in range(n))
+    assert not is_cyclic(scalar)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    square_matrices,
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2)),
+        max_size=6,
+    ),
+)
+def test_is_cyclic_is_a_conjugation_invariant(m, moves):
+    # conjugate by the elementary unimodular E = I + s e_ij, whose inverse
+    # is I - s e_ij, one move at a time
+    n = len(m)
+    conjugated = m
+    for i, j, s in moves:
+        i, j = i % n, j % n
+        if i == j:
+            continue
+        step = [list(row) for row in mat_identity(n)]
+        back = [list(row) for row in mat_identity(n)]
+        step[i][j], back[i][j] = s, -s
+        step, back = tuple(map(tuple, step)), tuple(map(tuple, back))
+        conjugated = mat_mul(mat_mul(step, conjugated), back)
+    assert is_cyclic(conjugated) == is_cyclic(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices)
+def test_is_cyclic_matches_the_rank_of_the_powers(m):
+    # cyclic exactly when I, M, ..., M^(n-1) are linearly independent
+    n = len(m)
+    power, flat = mat_identity(n), []
+    for _ in range(n):
+        flat.append([x for row in power for x in row])
+        power = mat_mul(power, m)
+    assert is_cyclic(m) == (_fraction_rank(flat) == n)
 
 
 # -- growth proxy --------------------------------------------------------

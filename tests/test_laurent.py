@@ -23,8 +23,7 @@ from braidkit.laurent import (
     count_roots_in,
     det_laurent,
     det_pencil,
-    poly_gcd_q,
-    qmul,
+    poly_gcd,
     slot_bits,
     sturm_chain,
 )
@@ -1095,12 +1094,76 @@ def test_packed_l1_is_the_l1_norm_of_the_digits(case):
     assert laurent.packed_l1(_pack(coeffs, bits), bits) == sum(map(abs, coeffs))
 
 
+def qmul(p, q):
+    """Product of two dense ascending coefficient sequences."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _up_to_sign(got, expected):
+    return list(got) in (list(expected), [-c for c in expected])
+
+
 def test_poly_gcd():
-    # x^2 - 1 and x - 1 share the factor x - 1; gcd comes back monic
-    assert poly_gcd_q([F(-1), F(0), F(1)], [F(-1), F(1)]) == [F(-1), F(1)]
-    assert poly_gcd_q([F(1), F(1)], [F(-1), F(1)]) == [F(1)]
-    assert poly_gcd_q([], [F(2)]) == [F(1)]
-    assert poly_gcd_q([F(2), F(2)], []) == [F(1), F(1)]
+    # x^2 - 1 and x - 1 share the factor x - 1; the gcd comes back
+    # primitive, up to sign
+    assert _up_to_sign(poly_gcd([-1, 0, 1], [-1, 1]), [-1, 1])
+    assert _up_to_sign(poly_gcd([1, 1], [-1, 1]), [1])
+    assert poly_gcd([], [2]) == [1]
+    assert poly_gcd([2, 2], []) == [1, 1]
+    assert poly_gcd([], []) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.lists(st.integers(-40, 40), max_size=8),
+    b=st.lists(st.integers(-40, 40), min_size=1, max_size=5).filter(
+        lambda b: b[-1] != 0
+    ),
+)
+def test_divide_is_pseudo_division(a, b):
+    # |lc(b)|**k * a = quo * b + rem with deg rem < deg b, k the number of
+    # quotient terms
+    quo, rem = laurent._divide(a, b)
+    k = max(len(a) - len(b) + 1, 0)
+    assert len(quo) == k and len(rem) < len(b)
+    poly = LaurentPoly.from_coeffs
+    scaled = poly([abs(b[-1]) ** k * c for c in a])
+    assert scaled == poly(quo) * poly(b) + poly(rem)
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def _from_roots(roots, scale=1):
+    # scale times the product of the primitive factors d*t - n, r = n/d;
+    # by Gauss's lemma the product is primitive
+    p = (scale,)
+    for r in roots:
+        p = qmul(p, (-r.numerator, r.denominator))
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    roots=st.lists(small_rationals, unique=True, max_size=8),
+    cuts=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    scales=st.tuples(
+        st.integers(-6, 6).filter(bool), st.integers(-6, 6).filter(bool)
+    ),
+)
+def test_poly_gcd_matches_factored_oracle(roots, cuts, scales):
+    # p = A*B and q = A*C over distinct rational roots have gcd A
+    i, j = sorted(cuts)
+    shared, only_p, only_q = roots[:i], roots[i:j], roots[j:]
+    p = _from_roots(shared + only_p, scales[0])
+    q = _from_roots(shared + only_q, scales[1])
+    assert _up_to_sign(poly_gcd(p, q), _from_roots(shared))
+    assert _up_to_sign(poly_gcd(p, ()), _from_roots(shared + only_p))
+    assert _up_to_sign(poly_gcd((), q), _from_roots(shared + only_q))
 
 
 def test_sturm_chain_shape():
@@ -1121,6 +1184,16 @@ def test_count_roots_half_open():
     assert count_roots_in(quad, F(3), F(9)) == 0
 
 
+def test_count_roots_refuses_a_reversed_interval():
+    # (lo, lo] is empty; lo > hi is no interval, not a negative count
+    x2m2 = [F(-2), F(0), F(1)]
+    assert count_roots_in(x2m2, F(2), F(2)) == 0
+    with pytest.raises(ValueError, match="lo > hi"):
+        count_roots_in(x2m2, F(2), F(-2))
+    with pytest.raises(ValueError, match="lo > hi"):
+        count_roots_in(sturm_chain(x2m2), Fraction(1, 3), Fraction(1, 4))
+
+
 def test_count_roots_with_repeated_factor():
     # (x-1)^2 (x+2) = x^3 - 3x + 2: multiplicity does not inflate the count
     p = [F(2), F(-3), F(0), F(1)]
@@ -1129,7 +1202,6 @@ def test_count_roots_with_repeated_factor():
     assert count_roots_in(p, F(-3), F(2)) == 2
 
 
-small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 dyadics = st.builds(
     lambda n, k: Fraction(n, 2**k), st.integers(-64, 64), st.integers(0, 4)
 )

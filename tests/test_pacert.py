@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidkit import pacert
-from braidkit.laurent import LaurentPoly, charpoly, count_roots_in, to_qpoly
+from braidkit.laurent import LaurentPoly, charpoly, count_roots_in
 from braidkit.pacert import (
     MU_TOLERANCE,
     MulticurvePair,
@@ -75,7 +75,7 @@ def test_mu_enclosure_certified_for_genus_1_to_12():
         assert 0 < hi - lo <= MU_TOLERANCE
         n = pair.matrix
         gram = [[sum(a * b for a, b in zip(r, s)) for s in n] for r in n]
-        assert count_roots_in(to_qpoly(charpoly(gram)), lo, hi) == 1
+        assert count_roots_in(charpoly(gram).coeffs, lo, hi) == 1
         # the float closed form carries ~1e-15 error; the width is 1e-12
         expect = 4 * math.cos(math.pi / (2 * g + 1)) ** 2
         assert float(lo) - 1e-14 <= expect <= float(hi) + 1e-14
@@ -260,7 +260,7 @@ def test_sign_at_mu_is_exact_inside_the_enclosure():
     cert = mu_certificate(chain_pair(2))
     root = (cert.lo + cert.hi) / 2
     near = LaurentPoly(0, (-root.numerator, root.denominator))
-    assert count_roots_in(to_qpoly(near), cert.lo, cert.hi) == 1
+    assert count_roots_in(near.coeffs, cert.lo, cert.hi) == 1
     expect = 1 if (2 * root - 3) ** 2 < 5 else -1  # mu > root
     assert pacert._sign_at_mu(near, cert) == expect
     assert pacert._sign_at_mu(-near, cert) == -expect
