@@ -55,7 +55,7 @@ from .pacert import (
     mu,
     parse_twist_word,
 )
-from .twobridge import cf_to_fraction, crosscheck_w0, twobridge_alexander
+from .twobridge import cf_to_fraction, twobridge_alexander
 
 CheckFn = Callable[[dict], dict]
 
@@ -353,10 +353,10 @@ def _check_alexander_module(params: dict) -> dict:
 @register("twobridge-crosscheck")
 def _check_twobridge(params: dict) -> dict:
     genus = _genus(params)
-    match = crosscheck_w0(genus)
     fraction = cf_to_fraction([2] * (2 * genus))
     rational = twobridge_alexander(fraction)
     fibred = fibred_alexander(FamilySpec(genus, 0, "original"))
+    match = rational.equals_up_to_units(fibred)
     det_rational = abs(rational.eval_int(-1))
     det_fibred = abs(fibred.eval_int(-1))
     ok = match and det_rational == det_fibred == fraction.p

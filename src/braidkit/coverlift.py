@@ -203,17 +203,12 @@ def seifert_from_monodromy(matrix: IntMatrix, surface: ChainSurface) -> IntMatri
 
     The forward pass is fraction-free elimination (Bareiss) of the
     augmented rows [(I - M)^T | -J^T], with the left block's columns in
-    that order, on the rows below the pivot only, so each step divides
-    exactly by the previous pivot.  A row whose entry f in the pivot column
-    is 0 would only be scaled by pivot / prev, and over a run of such steps
-    the factors telescope to the current pivot over the pivot of the row's
-    last real update.  So each row keeps that last pivot as its divisor (1
-    at the start), drops its first entry and is otherwise left as it is;
-    its up-to-date entries are the stored ones times prev / divisor.  A
-    real update divides by the row's divisor in place of prev, the same
-    exact quotient, and the pivot row is brought up to date before it is
-    used.  That caught-up row k is row k of [U | b], an upper triangular
-    system with the same solutions, and the last pivot d is +-det(I - M).
+    that order, on the rows below the pivot only.  Its pivot rule (the
+    first nonzero entry) and its deferred row scaling (each row keeps the
+    pivot of its last real update as its divisor) are those of
+    `laurent._bareiss_det`: see the `laurent` module notes.  The caught-up
+    pivot row k is row k of [U | b], an upper triangular system with the
+    same solutions, and the last pivot d is +-det(I - M).
 
     Back substitution runs on x' = d*x, one right-hand side at a time:
 

@@ -86,6 +86,7 @@ from operator import mul
 from .braid import BraidWord, closure_components
 from .laurent import (
     LaurentPoly,
+    _divide,
     charpoly,
     det_laurent,
     det_pencil,
@@ -219,9 +220,11 @@ def alexander_from_burau(word: BraidWord) -> LaurentPoly:
         ]
         for row_a, row_b in zip(a, b)
     ]
-    det = det_laurent(m)
-    fuller = LaurentPoly(0, tuple([1] * n))  # 1 + t + ... + t^(n-1)
-    return det.exact_div(fuller).unit_normalized()
+    # divided by the monic 1 + t + ... + t^(n-1), so the division is exact
+    quotient, remainder = _divide(list(det_laurent(m).coeffs), [1] * n)
+    if any(remainder):
+        raise ValueError("Burau determinant not divisible by 1 + t + ... + t^(n-1)")
+    return LaurentPoly(0, tuple(quotient)).unit_normalized()
 
 
 # -- Bennequin surface ---------------------------------------------------

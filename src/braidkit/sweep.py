@@ -3,7 +3,8 @@
 A sweep walks the (genus, power, variant) grid and builds one record per
 point with the invariant columns selected in the config.  Records are
 pure functions of their coordinates, so the grid can be fanned out across
-processes; the merge sorts records and is independent of worker count.
+processes, at most one per record and per core; the merge sorts records
+and is independent of worker count.
 
 Config files are line-oriented `key = value`.  Ranges use `a..b`
 (inclusive), lists are comma-separated, `#` starts a comment:
@@ -20,6 +21,7 @@ Config files are line-oriented `key = value`.  Ranges use `a..b`
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -275,11 +277,14 @@ def run_sweep(config: SweepConfig) -> list[dict]:
         for n in config.power
         for v in config.variants
     ]
-    if config.parallelism == 1 or len(tasks) <= 1:
+    # the pool starts all its workers at the first submit, so ask for no
+    # more than there are tasks and cores
+    workers = min(config.parallelism, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [build_record(task) for task in tasks]
     # imported here: serial sweeps and `check` then skip loading
     # multiprocessing, which costs more start-up than most records
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(build_record, tasks))

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -437,6 +438,32 @@ def test_sweep_determinism_across_parallelism():
     assert canonical_json(build_report(seq)) == canonical_json(
         build_report(par)
     )
+
+
+def test_sweep_asks_for_no_more_workers_than_tasks_and_cores(monkeypatch):
+    # a process pool starts all its workers at the first submit; this fake
+    # records the request and maps in process, so no process is started
+    import concurrent.futures
+
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = SweepConfig(genus=(1,), power=(0, 1, 2), checks=("unknot",), parallelism=5000)
+    assert len(run_sweep(cfg)) == 3
+    assert all(w <= min(3, os.cpu_count() or 1) for w in requested)
 
 
 def test_sweep_canonical_bytes_are_pinned():

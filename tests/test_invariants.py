@@ -29,7 +29,7 @@ from braidkit.invariants import (
     reduced_burau,
     signature_function,
 )
-from braidkit.laurent import LaurentPoly, det_laurent, slot_bits
+from braidkit.laurent import LaurentPoly, _divide, det_laurent, slot_bits
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 FIG8 = BraidWord(3, (1, -2, 1, -2))
@@ -233,7 +233,9 @@ def _alexander_from_the_whole_word(word):
     """The formula before the split: det(rho(w) - I) / (1 + ... + t^(n-1))."""
     n = word.strands
     det = det_laurent(_minus(reduced_burau(word), laurent_identity(n - 1)))
-    return det.exact_div(LaurentPoly(0, (1,) * n)).unit_normalized()
+    quotient, remainder = _divide(list(det.coeffs), [1] * n)
+    assert not any(remainder)
+    return LaurentPoly(0, tuple(quotient)).unit_normalized()
 
 
 @settings(max_examples=150, deadline=None)
