@@ -96,18 +96,22 @@ quotient of `invariants`.  `_divide(a, b)` is pseudo-division: the
 quotient and remainder of |lc(b)|**k * a by b, with
 k = len(a) - len(b) + 1.  The multiplier is positive, so every sign is
 kept, and it is 1 when b is monic, so reduction modulo a characteristic
-polynomial, and division by 1 + t + ... + t^(n-1), is exact.  `poly_gcd`
-is the primitive remainder sequence on it (each pseudo-remainder over its
-content).
+polynomial, and division by 1 + t + ... + t^(n-1), is exact.
 
 Root counting is fraction-free.  A Sturm chain starts from p times the
-positive lcm of its denominators and from its derivative; each next row is
-minus the pseudo-remainder of the two before it over its content, so row i
-is a positive multiple of the rational chain's row i and keeps every sign
-(Collins, JACM 1967).  The rows are then divided exactly by the last one,
-gcd(p, p').  The sign of a row q of degree d at x = a/b (b > 0) is the
-sign of the integer sum c_i a^i b^(d-i), which is b^d q(x).  Bisections
-pass the prebuilt `SturmChain` to `count_roots_in`.
+positive lcm of its denominators and from its derivative, or from a given
+second row q; each next row is minus the pseudo-remainder of the two before
+it over its content, so row i is a positive multiple of the rational
+chain's row i and keeps every sign (Collins, JACM 1967).  The rows are then
+divided exactly by the last one, gcd(p, p') or gcd(p, q), which changes no
+count between points that are not roots of p.  Between two such points
+the count from p and q is the Cauchy index of q / p; with q = p' * r, or
+its remainder mod p, it is Sylvester's: the roots x of p there, each
+counted once with the sign of r(x) (Basu, Pollack and Roy, Algorithms in
+Real Algebraic Geometry, ch. 2).
+The sign of a row q of degree d at x = a/b (b > 0) is the sign of the
+integer sum c_i a^i b^(d-i), which is b^d q(x).  Bisections pass the
+prebuilt `SturmChain` to `count_roots_in`.
 """
 
 from __future__ import annotations
@@ -583,46 +587,36 @@ def _primitive(row) -> list[int]:
     return [c // content for c in row[:n]]
 
 
-def poly_gcd(a, b) -> list[int]:
-    """Primitive gcd, up to sign, of two integer polynomials (dense,
-    ascending): the remainder sequence of pseudo-remainders over content."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _primitive(_divide(a, b)[1])
-    return a
-
-
 class SturmChain(list):
     """Sturm chain of a polynomial as integer rows (dense, ascending).
 
-    Row i is a positive integer multiple of p_i / gcd(p, p'), where p_i is
-    the rational Sturm chain.  The positive scale keeps every sign; the
-    division keeps the rows from all vanishing at a multiple root of p.
-    `count_roots_in` takes one of these in place of a polynomial, so a
-    bisection builds its chain once.
+    Row i is a positive integer multiple of p_i / gcd(p, q), where p_i is
+    the rational chain of p and q (p' unless given).  The positive scale
+    keeps every sign; the division keeps the rows from all vanishing at a
+    common root.  `count_roots_in` takes one of these in place of a
+    polynomial, so a bisection builds its chain once.
     """
 
 
-def sturm_chain(p) -> SturmChain:
+def sturm_chain(p, q=None) -> SturmChain:
     """Sturm chain of a polynomial with int or Fraction coefficients (dense,
-    ascending), squarefree or not."""
+    ascending), squarefree or not, and a second row q with int coefficients,
+    p' by default (see the module notes for q = (p' r) mod p)."""
     p = [Fraction(c) for c in p]
     scale = lcm(*(c.denominator for c in p))
     p0 = _primitive([int(c * scale) for c in p])
     if not p0:
         return SturmChain()
-    p1 = _primitive([i * c for i, c in enumerate(p0)][1:])
-    chain = [p0, p1] if p1 else [p0]
-    while len(chain[-1]) > 1:
-        rem = _primitive([-c for c in _divide(chain[-2], chain[-1])[1]])
-        if not rem:
-            break
-        chain.append(rem)
-    # the last row is gcd(p, p'); dividing it out gives the Sturm chain of
-    # the squarefree part, which stays nonzero at multiple roots of p
+    chain = [p0]
+    row = _primitive([i * c for i, c in enumerate(p0)][1:] if q is None else q)
+    while row:
+        chain.append(row)
+        row = _primitive([-c for c in _divide(chain[-2], row)[1]])
+    # the last row is gcd(p, q); dividing it out leaves rows that do not all
+    # vanish at a root of it (for q = p', a multiple root of p)
     common = chain[-1]
     if len(common) > 1:
-        chain = [_primitive(_divide(q, common)[0]) for q in chain]
+        chain = [_primitive(_divide(row, common)[0]) for row in chain]
     return SturmChain(chain)
 
 

@@ -10,20 +10,23 @@ so the verdict reduces to comparing |trace| with 2.
 The trace of any twist word is a polynomial tr in mu with integer
 coefficients: conjugating by diag(1, s) takes both multitwists into
 SL(2, Z[mu]) and keeps every trace (`trace_polynomial`).  The verdict is
-the pair of exact signs of tr - 2 and tr + 2 at mu (`_sign_at_mu`), each
-read from its remainder mod the characteristic polynomial: a zero is
-decided by a polynomial gcd with the characteristic polynomial plus a
-Sturm count on the isolating enclosure, and a nonzero sign by halving the
-enclosure toward mu until the remainder's own Sturm chain counts no root
-in it.  No margin is involved, so every word gets a verdict; trace and
-dilatation are float summaries.
+the exact sign of tr^2 - 4 at mu, one Sturm count (`_sign_at_mu`).  With
+p the characteristic polynomial of N N^T, the chain of p and (p' q) mod p
+counts the roots x of p in (lo, b], each once with the sign of q(x), when
+neither end is a root of p (Sylvester; see `laurent`).  lo is the lower
+end of the enclosure of mu, the largest root, and b the Cauchy bound
+1 + max |p_i|, above every root, so mu is the only root counted.  b is
+never a root, and `mu_certificate` bisects until lo is not one either; the
+upper end of the enclosure can be mu itself (mu = hi = 1 at genus 1).  No
+margin is involved, so every word gets a verdict; trace and dilatation are
+float summaries.
 
-Everything those tests need from the pair is a pure function of it: the
-characteristic polynomial of N N^T, its integer Sturm chain and the
-enclosure of mu at MU_TOLERANCE.  `mu_certificate` computes them once per
-(frozen, hashable) MulticurvePair behind an lru_cache, and `mu_enclosure`,
-`mu` and `classify` all read that one certificate.  `classify` is memoized
-the same way, per (word, pair).
+Everything the count needs from the pair is a pure function of it: the
+characteristic polynomial of N N^T and the enclosure of mu at
+MU_TOLERANCE.  `mu_certificate` computes them once per (frozen, hashable)
+MulticurvePair behind an lru_cache, and `mu_enclosure`, `mu` and
+`classify` all read that one certificate.  `classify` is memoized the same
+way, per (word, pair).
 """
 
 from __future__ import annotations
@@ -32,15 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import (
-    LaurentPoly,
-    SturmChain,
-    _divide,
-    charpoly,
-    count_roots_in,
-    poly_gcd,
-    sturm_chain,
-)
+from .laurent import LaurentPoly, _divide, charpoly, count_roots_in, sturm_chain
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -119,13 +114,12 @@ class MuCertificate:
     """Everything the exact mu tests of one pair share.
 
     poly is the monic characteristic polynomial of N N^T (integer
-    coefficients, dense, ascending), chain its integer Sturm chain, and
-    (lo, hi] an enclosure of mu of width <= MU_TOLERANCE that isolates a
-    single distinct root.
+    coefficients, dense, ascending) and (lo, hi] an enclosure of mu of
+    width <= MU_TOLERANCE that isolates a single distinct root, with lo not
+    a root of poly.
     """
 
     poly: tuple[int, ...]
-    chain: SturmChain
     lo: Fraction
     hi: Fraction
 
@@ -135,29 +129,31 @@ def _dense(poly: LaurentPoly) -> tuple[int, ...]:
     return (0,) * poly.offset + poly.coeffs
 
 
-def _step(
-    chain: SturmChain, lo: Fraction, hi: Fraction
-) -> tuple[Fraction, Fraction]:
-    """The half of (lo, hi] that keeps the largest root of chain in it."""
-    mid = (lo + hi) / 2
-    if count_roots_in(chain, mid, hi) >= 1:
-        return mid, hi
-    return lo, mid
+def _enclose(poly: tuple[int, ...], hi: Fraction) -> tuple[Fraction, Fraction]:
+    """(lo, hi] around the largest root of poly in (0, hi], halved until it
+    isolates that root, is at most MU_TOLERANCE wide and lo is not a root:
+    a root at lo moves up to a midpoint once the width is below its gap."""
+    chain, lo = sturm_chain(poly), Fraction(0)
+    while (
+        count_roots_in(chain, lo, hi) > 1
+        or hi - lo > MU_TOLERANCE
+        or not sum(c * lo**i for i, c in enumerate(poly))
+    ):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if count_roots_in(chain, mid, hi) else (lo, mid)
+    return lo, hi
 
 
 @lru_cache(maxsize=None)
 def mu_certificate(pair: MulticurvePair) -> MuCertificate:
-    """Charpoly, Sturm chain and mu enclosure of a pair, computed once."""
+    """Charpoly and mu enclosure of a pair, computed once."""
     if all(x == 0 for row in pair.matrix for x in row):
         raise ValueError("zero intersection matrix has no top eigenvalue")
     gram = _gram(pair)
     poly = _dense(charpoly(gram))
-    chain = sturm_chain(poly)
     # no eigenvalue exceeds the largest absolute row sum of the Gram matrix
-    lo, hi = Fraction(0), Fraction(max(sum(map(abs, r)) for r in gram) + 1)
-    while count_roots_in(chain, lo, hi) > 1 or hi - lo > MU_TOLERANCE:
-        lo, hi = _step(chain, lo, hi)
-    return MuCertificate(poly, chain, lo, hi)
+    lo, hi = _enclose(poly, Fraction(max(sum(map(abs, r)) for r in gram) + 1))
+    return MuCertificate(poly, lo, hi)
 
 
 def mu_enclosure(pair: MulticurvePair) -> tuple[Fraction, Fraction]:
@@ -225,24 +221,16 @@ def trace_polynomial(word: TwistWord) -> LaurentPoly:
 
 
 def _sign_at_mu(q: LaurentPoly, cert: MuCertificate) -> int:
-    """Sign of q(mu), exactly: -1, 0 or 1.
+    """Sign of q(mu), exactly: -1, 0 or 1, for q with no negative exponent.
 
-    mu is a root of the charpoly, so q(mu) = r(mu) for r = q mod charpoly
-    (exact, the charpoly being monic), whose degree is below the
-    charpoly's however long q is.  r(mu) = 0 exactly when gcd(r, charpoly)
-    has a root in the isolating enclosure.  Otherwise r has a root-free
-    neighbourhood of mu, so the enclosure is halved toward mu until r's own
-    Sturm chain counts no root in (lo, hi]; r then has one sign on (lo, hi],
-    which holds mu and hi.
+    The Sylvester count of the charpoly p and (p' q) mod p over
+    (lo, 1 + max |p_i|], which holds mu and no other root of p and has
+    neither end on one (see the module notes).
     """
-    rem = _divide(_dense(q), cert.poly)[1]
-    if count_roots_in(poly_gcd(rem, cert.poly), cert.lo, cert.hi):
-        return 0
-    own = sturm_chain(rem)
-    lo, hi = cert.lo, cert.hi
-    while count_roots_in(own, lo, hi):
-        lo, hi = _step(cert.chain, lo, hi)
-    return 1 if sum(c * hi**i for i, c in enumerate(rem)) > 0 else -1
+    p = cert.poly
+    dp = LaurentPoly.from_coeffs([i * c for i, c in enumerate(p)][1:])
+    s = _divide(_dense(dp * q), p)[1]
+    return count_roots_in(sturm_chain(p, s), cert.lo, Fraction(1 + max(map(abs, p))))
 
 
 @dataclass(frozen=True)
@@ -258,22 +246,20 @@ def classify(word: TwistWord, pair: MulticurvePair) -> Classification:
 
     |trace| > 2 gives pseudo-Anosov with dilatation (|tr|+sqrt(tr^2-4))/2;
     |trace| = 2 parabolic; |trace| < 2 elliptic.  The kind comes from the
-    exact signs of tr - 2 and tr + 2 at mu; trace and dilatation are float
-    summaries taken at the midpoint of the enclosure.
+    exact sign of tr^2 - 4 at mu, one Sturm count; trace and dilatation are
+    float summaries taken at the midpoint of the enclosure.
     """
     tr = trace_polynomial(word)
     cert = mu_certificate(pair)
-    above = _sign_at_mu(tr - LaurentPoly.constant(2), cert)
-    below = _sign_at_mu(tr + LaurentPoly.constant(2), cert)
+    r = LaurentPoly.from_coeffs(_divide(_dense(tr), cert.poly)[1])  # r(mu) = tr(mu)
+    sign = _sign_at_mu(r * r - LaurentPoly.constant(4), cert)
     trace = float(tr.eval((cert.lo + cert.hi) / 2))
-    if above == 0 or below == 0:
-        return Classification("parabolic", trace, None)
-    if above > 0 or below < 0:
+    if sign > 0:
         mag = abs(trace)
         # the kind is exact; the float can round to |trace| <= 2 next to it
         dil = (mag + max(mag * mag - 4, 0.0) ** 0.5) / 2
         return Classification("pseudo-anosov", trace, dil)
-    return Classification("elliptic", trace, None)
+    return Classification("parabolic" if sign == 0 else "elliptic", trace, None)
 
 
 def complement_euler(genus: int, punctured: bool) -> int:

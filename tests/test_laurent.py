@@ -23,7 +23,6 @@ from braidkit.laurent import (
     count_roots_in,
     det_laurent,
     det_pencil,
-    poly_gcd,
     slot_bits,
     sturm_chain,
 )
@@ -1080,20 +1079,6 @@ def qmul(p, q):
     return tuple(out)
 
 
-def _up_to_sign(got, expected):
-    return list(got) in (list(expected), [-c for c in expected])
-
-
-def test_poly_gcd():
-    # x^2 - 1 and x - 1 share the factor x - 1; the gcd comes back
-    # primitive, up to sign
-    assert _up_to_sign(poly_gcd([-1, 0, 1], [-1, 1]), [-1, 1])
-    assert _up_to_sign(poly_gcd([1, 1], [-1, 1]), [1])
-    assert poly_gcd([], [2]) == [1]
-    assert poly_gcd([2, 2], []) == [1, 1]
-    assert poly_gcd([], []) == []
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     a=st.lists(st.integers(-40, 40), max_size=8),
@@ -1122,25 +1107,6 @@ def _from_roots(roots, scale=1):
     for r in roots:
         p = qmul(p, (-r.numerator, r.denominator))
     return p
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    roots=st.lists(small_rationals, unique=True, max_size=8),
-    cuts=st.tuples(st.integers(0, 8), st.integers(0, 8)),
-    scales=st.tuples(
-        st.integers(-6, 6).filter(bool), st.integers(-6, 6).filter(bool)
-    ),
-)
-def test_poly_gcd_matches_factored_oracle(roots, cuts, scales):
-    # p = A*B and q = A*C over distinct rational roots have gcd A
-    i, j = sorted(cuts)
-    shared, only_p, only_q = roots[:i], roots[i:j], roots[j:]
-    p = _from_roots(shared + only_p, scales[0])
-    q = _from_roots(shared + only_q, scales[1])
-    assert _up_to_sign(poly_gcd(p, q), _from_roots(shared))
-    assert _up_to_sign(poly_gcd(p, ()), _from_roots(shared + only_p))
-    assert _up_to_sign(poly_gcd((), q), _from_roots(shared + only_q))
 
 
 def test_sturm_chain_shape():
@@ -1212,3 +1178,33 @@ def test_count_roots_matches_factored_oracle(roots, lead, data):
     chain = sturm_chain(p)
     assert all(isinstance(c, int) for row in chain for c in row)
     assert count_roots_in(chain, lo, hi) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    roots=st.lists(
+        st.tuples(small_rationals, st.integers(1, 3)), min_size=1, max_size=4
+    ),
+    scale=st.integers(-6, 6).filter(bool),
+    r=st.lists(st.integers(-9, 9), max_size=5),
+    data=st.data(),
+)
+def test_sylvester_count_matches_factored_oracle(roots, scale, r, data):
+    # the chain of p and (p' r) mod p counts the distinct roots x of p in
+    # (lo, hi], neither end a root, each with the sign of r(x)
+    p = _from_roots([x for x, m in roots for _ in range(m)], scale)
+    dp = [i * c for i, c in enumerate(p)][1:]
+    s = laurent._divide(qmul(dp, r) if r else (), p)[1]
+    xs = {x for x, _ in roots}
+    endpoint = st.one_of(dyadics, non_dyadics).filter(lambda e: e not in xs)
+    lo, hi = sorted((data.draw(endpoint), data.draw(endpoint)))
+    values = [LaurentPoly.from_coeffs(r).eval(x) for x in xs if lo < x <= hi]
+    expected = sum((v > 0) - (v < 0) for v in values)
+    assert count_roots_in(sturm_chain(p, s), lo, hi) == expected
+
+
+def test_sturm_chain_with_a_second_row_that_reduces_to_nothing():
+    # q = 0 leaves p alone in the chain, which counts 0 everywhere
+    assert sturm_chain([-2, 0, 1], []) == [[1]]
+    assert count_roots_in(sturm_chain([-2, 0, 1], [0, 0]), F(-2), F(2)) == 0
+    assert sturm_chain([-2, 0, 1], [0, 2]) == sturm_chain([-2, 0, 1])

@@ -1,6 +1,7 @@
 """Twist-pair classification, eigenvalue enclosures, and filling Euler counts."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -271,6 +272,90 @@ def test_sign_at_mu_is_exact_inside_the_enclosure():
     assert pacert._sign_at_mu(LaurentPoly.zero(), cert) == 0
 
 
+def _random_pairs(count, seed):
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        a, b = rng.randint(1, 5), rng.randint(1, 5)
+        matrix = tuple(tuple(rng.randint(0, 3) for _ in range(b)) for _ in range(a))
+        if any(map(any, matrix)):
+            pairs.append(MulticurvePair(matrix))
+    return pairs
+
+
+def _at(poly, x):
+    return sum(c * x**i for i, c in enumerate(poly))
+
+
+def test_mu_certificate_never_puts_lo_on_a_root():
+    # Sylvester's count is only sound when lo is not a root of the charpoly
+    for pair in [chain_pair(g) for g in range(1, 31)] + _random_pairs(400, 2101):
+        cert = mu_certificate(pair)
+        assert _at(cert.poly, cert.lo) != 0
+        assert count_roots_in(cert.poly, cert.lo, cert.hi) == 1
+        assert 0 < cert.hi - cert.lo <= MU_TOLERANCE
+
+
+def test_a_root_at_lo_breaks_the_count_and_the_guard_moves_it():
+    # (t - 1)(t^2 - 3) on (1, 2]: sqrt 3 is the only root inside, but lo = 1
+    # is a root too, and the count reads -2 for the constant -1
+    cubic = (3, -3, -1, 1)
+    on_root = pacert.MuCertificate(cubic, Fraction(1), Fraction(2))
+    assert pacert._sign_at_mu(LaurentPoly.constant(-1), on_root) == -2
+    assert pacert._sign_at_mu(LaurentPoly(0, (-3, 0, 1)), on_root) == -1  # 0 at sqrt 3
+    # (t - 1)(e t - e - 1), e = 2^41, has roots 1 and 1 + 1/e, closer than
+    # MU_TOLERANCE: halving from (0, 2] reaches (1, 1 + 2/e] with lo on the
+    # root 1, and only the guard halves on until lo is off it
+    e = 2**41
+    close = (e + 1, -(2 * e + 1), e)
+    top = 1 + Fraction(1, e)
+    unguarded = pacert.MuCertificate(close, Fraction(1), 1 + Fraction(2, e))
+    assert count_roots_in(close, unguarded.lo, unguarded.hi) == 1
+    assert pacert._sign_at_mu(LaurentPoly.constant(-1), unguarded) == -2
+    lo, hi = pacert._enclose(close, Fraction(2))
+    assert _at(close, lo) != 0 and lo < top <= hi and hi - lo <= MU_TOLERANCE
+    guarded = pacert.MuCertificate(close, lo, hi)
+    assert pacert._sign_at_mu(LaurentPoly.constant(-1), guarded) == -1
+    assert pacert._sign_at_mu(LaurentPoly(0, (-e - 1, e)), guarded) == 0
+
+
+@pytest.mark.parametrize(
+    "word, kind, trace",
+    [
+        ("A B-", "pseudo-anosov", 3),
+        ("A", "parabolic", 2),
+        ("A B", "elliptic", 1),
+        ("A B A B", "elliptic", -1),
+        ("A B A B A B A", "parabolic", -2),
+        ("A B A B A B A B-", "pseudo-anosov", -3),
+    ],
+)
+def test_genus_1_verdicts_where_mu_is_the_enclosures_upper_end(word, kind, trace):
+    # at genus 1, mu = 1 = hi: the count must not stop at hi, a root of p
+    pair = chain_pair(1)
+    assert mu_certificate(pair).hi == 1
+    assert trace_polynomial(parse_twist_word(word)).eval(1) == trace
+    verdict = classify(parse_twist_word(word), pair)
+    assert verdict.kind == kind
+    assert abs(verdict.trace - trace) < 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([chain_pair(g) for g in range(1, 6)] + _random_pairs(40, 7)),
+    st.lists(st.integers(-5, 5), max_size=6),
+)
+def test_sign_at_mu_is_zero_on_multiples_of_the_charpoly_and_minimal_polynomial(
+    pair, factor
+):
+    cert = mu_certificate(pair)
+    m = LaurentPoly.from_coeffs(factor)
+    assert pacert._sign_at_mu(LaurentPoly.from_coeffs(cert.poly) * m, cert) == 0
+    # mu_2 = (3 + sqrt 5)/2 has minimal polynomial t^2 - 3t + 1
+    minimal = LaurentPoly(0, (1, -3, 1))
+    assert pacert._sign_at_mu(minimal * m, mu_certificate(chain_pair(2))) == 0
+
+
 def test_long_words_get_exact_verdicts():
     # at genus 3, tr(A B) = 2 - mu = 2 cos(5 pi / 7): A B is a rotation, and
     # (A B)^n has trace 2 cos(5 n pi / 7), which is -+2 exactly when 7 | n
@@ -304,6 +389,35 @@ def test_classify_never_lies_about_kind(genus, tokens):
         assert abs(lam + 1 / lam - abs(verdict.trace)) < 1e-6 * abs(trace)
     else:
         assert verdict.dilatation is None
+
+
+small_pairs = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: st.lists(
+        st.tuples(*[st.integers(0, 3)] * shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    small_pairs.filter(lambda rows: any(map(any, rows))),
+    st.lists(st.sampled_from(["A", "A-", "B", "B-"]), min_size=1, max_size=14),
+)
+def test_verdicts_on_random_pairs_match_a_float_oracle(rows, tokens):
+    numpy = pytest.importorskip("numpy")
+    n = numpy.array(rows, dtype=float)
+    top = float(max(numpy.linalg.eigvalsh(n @ n.T)))
+    word = parse_twist_word(" ".join(tokens))
+    tr = trace_polynomial(word)
+    trace = tr.eval(top)
+    # a float this close to +-2, relative to the size of its terms, decides nothing
+    size = 1 + sum(abs(c) * top ** (tr.offset + i) for i, c in enumerate(tr.coeffs))
+    if abs(trace * trace - 4) <= 1e-6 * size * size:
+        return
+    verdict = classify(word, MulticurvePair(tuple(rows)))
+    assert verdict.kind == ("pseudo-anosov" if abs(trace) > 2 else "elliptic")
 
 
 # -- Euler characteristic bookkeeping ------------------------------------
