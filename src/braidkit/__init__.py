@@ -29,14 +29,11 @@ from .braid import (
 )
 from .destab import UnknotCertificate, apply_move, destabilize_greedy, replay_certificate
 from .garside import (
-    BandGenerator,
     NormalForm,
     delta_word,
-    expand_band,
     full_twist,
     normal_form,
     periodic_identity_check,
-    verify_band_witness,
     words_equal,
 )
 from .laurent import LaurentPoly, charpoly, det_laurent

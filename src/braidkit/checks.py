@@ -39,14 +39,8 @@ from .coverlift import (
     mat_identity,
 )
 from .destab import destabilize_greedy, replay_certificate
-from .garside import (
-    BandGenerator,
-    expand_band,
-    periodic_identity_check,
-    verify_band_witness,
-    words_equal,
-)
-from .invariants import alexander_from_burau
+from .garside import periodic_identity_check
+from .invariants import alexander_from_burau, knot_determinant
 from .laurent import LaurentPoly
 from .pacert import (
     chain_pair,
@@ -204,13 +198,7 @@ def _check_alexander_trivial(params: dict) -> dict:
 def _check_fibre_genus(params: dict) -> dict:
     genus = _genus(params)
     family = branched_cover_euler(1, 2 * genus + 1)
-    small = branched_cover_euler(1, 3)
-    ok = (
-        family.genus == genus
-        and family.boundary == 1
-        and small.genus == 1
-        and small.boundary == 1
-    )
+    ok = family.genus == genus and family.boundary == 1
     return {
         "genus": genus,
         "cover_chi": family.chi,
@@ -267,36 +255,6 @@ def _check_periodic_identity(params: dict) -> dict:
     genus = _genus(params)
     ok = periodic_identity_check(genus)
     return {"genus": genus, "status": "verified" if ok else "refuted"}
-
-
-@register("band-witness")
-def _check_band_witness(params: dict) -> dict:
-    genus = _genus(params, default=2)
-    n = 2 * genus + 1
-    positive = verify_band_witness(
-        [BandGenerator(1, 2)] * 5, BraidWord(2, (1,) * 5)
-    )
-    negative = verify_band_witness(
-        [BandGenerator(1, 2)], BraidWord(2, (-1,))
-    )
-    chain_bands = [BandGenerator(i, i + 1) for i in range(1, n)] + [
-        BandGenerator(1, 2)
-    ]
-    chain_target = BraidWord(n, tuple(range(1, n)) + (1,))
-    chain = verify_band_witness(chain_bands, chain_target)
-    # same element through the other braid-relation spelling
-    conjugate = words_equal(
-        expand_band(BandGenerator(1, 3), 3), BraidWord(3, (-1, 2, 1))
-    )
-    ok = positive and (not negative) and chain and conjugate
-    return {
-        "genus": genus,
-        "torus_witness": positive,
-        "mirror_rejected": not negative,
-        "chain_witness": chain,
-        "band_expansion": conjugate,
-        "status": "verified" if ok else "refuted",
-    }
 
 
 @register(
@@ -357,8 +315,8 @@ def _check_twobridge(params: dict) -> dict:
     rational = twobridge_alexander(fraction)
     fibred = fibred_alexander(FamilySpec(genus, 0, "original"))
     match = rational.equals_up_to_units(fibred)
-    det_rational = abs(rational.eval_int(-1))
-    det_fibred = abs(fibred.eval_int(-1))
+    det_rational = knot_determinant(rational)
+    det_fibred = knot_determinant(fibred)
     ok = match and det_rational == det_fibred == fraction.p
     return {
         "genus": genus,

@@ -1,4 +1,4 @@
-"""Left-greedy normal forms in the braid group, and band generators.
+"""Left-greedy normal forms in the braid group.
 
 Every braid word equals Delta^p * A_1 * ... * A_k where Delta is the half
 twist, each A_i is a simple element (a positive braid in which any two
@@ -163,38 +163,3 @@ def periodic_identity_check(genus: int) -> bool:
     n = 2 * genus + 1
     step = BraidWord(n, tuple(range(n - 1, 0, -1)))
     return words_equal(step**n, full_twist(n))
-
-
-# -- band generators -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BandGenerator:
-    """The positive band a_{i,j} joining strands i < j in front of the rest."""
-
-    i: int
-    j: int
-    sign: int = 1
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.i < self.j:
-            raise ValueError("band generator needs 1 <= i < j")
-        if self.sign not in (1, -1):
-            raise ValueError("band sign must be +1 or -1")
-
-
-def expand_band(band: BandGenerator, strands: int) -> BraidWord:
-    """Artin word (sigma_{j-1} ... sigma_{i+1}) sigma_i^sign (inverse conjugator)."""
-    if band.j > strands:
-        raise ValueError(f"band {band} does not fit on {strands} strands")
-    conj = BraidWord(strands, tuple(range(band.j - 1, band.i, -1)))
-    core = BraidWord(strands, (band.sign * band.i,))
-    return conj * core * conj.inverse()
-
-
-def verify_band_witness(witness: list[BandGenerator], target: BraidWord) -> bool:
-    """Check that the recorded band product equals the target word in the group."""
-    product = BraidWord(target.strands, ())
-    for band in witness:
-        product = product * expand_band(band, target.strands)
-    return words_equal(product, target)

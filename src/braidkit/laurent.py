@@ -122,7 +122,7 @@ from math import gcd, isqrt, lcm
 from operator import index
 
 
-def _trim(offset: int, coeffs: list[int]) -> tuple[int, tuple[int, ...]]:
+def _trim(offset: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     lo = 0
     hi = len(coeffs)
     while hi > lo and coeffs[hi - 1] == 0:
@@ -131,18 +131,22 @@ def _trim(offset: int, coeffs: list[int]) -> tuple[int, tuple[int, ...]]:
         lo += 1
     if lo == hi:
         return 0, ()
-    return offset + lo, tuple(coeffs[lo:hi])
+    return offset + lo, coeffs[lo:hi]
 
 
 @dataclass(frozen=True)
 class LaurentPoly:
-    """Integer Laurent polynomial sum(coeffs[i] * t**(offset + i))."""
+    """Integer Laurent polynomial sum(coeffs[i] * t**(offset + i)).
+
+    The constructor takes any sequence of integers and stores it trimmed,
+    as a tuple; a non-integer offset or coefficient raises TypeError.
+    """
 
     offset: int = 0
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        off, cs = _trim(self.offset, list(self.coeffs))
+        off, cs = _trim(index(self.offset), tuple(map(index, self.coeffs)))
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "coeffs", cs)
 
@@ -167,17 +171,13 @@ class LaurentPoly:
         return LaurentPoly(0, (c,))
 
     @staticmethod
-    def from_coeffs(coeffs, offset: int = 0) -> "LaurentPoly":
-        return LaurentPoly(offset, tuple(index(c) for c in coeffs))
-
-    @staticmethod
     def from_packed(value: int, bits: int, offset: int = 0) -> "LaurentPoly":
         """The polynomial p with t**-offset * p equal to value at t = 2**bits.
 
         Its coefficients must be balanced base-2**bits digits, which holds
         when bits = slot_bits(bound) and bound caps their absolute values.
         """
-        return LaurentPoly(offset, tuple(_unpack(value, bits)))
+        return LaurentPoly(offset, _unpack(value, bits))
 
     # -- basic queries ----------------------------------------------------
 

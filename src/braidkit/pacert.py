@@ -228,7 +228,7 @@ def _sign_at_mu(q: LaurentPoly, cert: MuCertificate) -> int:
     neither end on one (see the module notes).
     """
     p = cert.poly
-    dp = LaurentPoly.from_coeffs([i * c for i, c in enumerate(p)][1:])
+    dp = LaurentPoly(0, [i * c for i, c in enumerate(p)][1:])
     s = _divide(_dense(dp * q), p)[1]
     return count_roots_in(sturm_chain(p, s), cert.lo, Fraction(1 + max(map(abs, p))))
 
@@ -251,7 +251,7 @@ def classify(word: TwistWord, pair: MulticurvePair) -> Classification:
     """
     tr = trace_polynomial(word)
     cert = mu_certificate(pair)
-    r = LaurentPoly.from_coeffs(_divide(_dense(tr), cert.poly)[1])  # r(mu) = tr(mu)
+    r = LaurentPoly(0, _divide(_dense(tr), cert.poly)[1])  # r(mu) = tr(mu)
     sign = _sign_at_mu(r * r - LaurentPoly.constant(4), cert)
     trace = float(tr.eval((cert.lo + cert.hi) / 2))
     if sign > 0:

@@ -35,7 +35,12 @@ from .coverlift import (
     seifert_from_monodromy,
 )
 from .destab import destabilize_greedy, replay_certificate
-from .invariants import SeifertMatrix, alexander_from_burau, alexander_from_seifert
+from .invariants import (
+    SeifertMatrix,
+    alexander_from_burau,
+    alexander_from_seifert,
+    knot_determinant,
+)
 from .laurent import LaurentPoly
 from .pacert import chain_pair, classify, mu, parse_twist_word
 from .twobridge import cf_to_fraction, crosscheck_w0
@@ -228,7 +233,7 @@ def _build_record(
     if "alexander" in checks:
         poly = alexander_from_burau(word)
         record["alexander_burau"] = poly.to_text()
-        record["determinant"] = abs(poly.eval_int(-1))
+        record["determinant"] = knot_determinant(poly)
         holds.append(poly.equals_up_to_units(LaurentPoly.one()))
     if "fibred" in checks:
         surface = ChainSurface(genus)

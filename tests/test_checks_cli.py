@@ -41,7 +41,6 @@ from braidkit.sweep import ConfigError, SweepConfig, parse_config, run_sweep
 ALL_CHECKS = (
     "alexander-module",
     "alexander-trivial",
-    "band-witness",
     "fibre-genus",
     "filling",
     "growth-proxy",
@@ -956,7 +955,7 @@ def test_verify_all_script_smoke(tmp_path, capsys):
     script = _script("verify_all")
     out = tmp_path / "report.json"
     assert script.main(["--genus", "1", "--max-genus", "2", "--json", str(out)]) == 0
-    assert "19 checks: verified=19; skipped 3 off-genus" in capsys.readouterr().out
+    assert "17 checks: verified=17; skipped 3 off-genus" in capsys.readouterr().out
     validate_report(json.loads(out.read_text(encoding="utf-8")))
     assert script.main(["--genus", "3", "--max-genus", "1"]) == 1
     captured = capsys.readouterr()
@@ -972,10 +971,10 @@ def test_registry_report_bytes_are_pinned(tmp_path, capsys):
     out = tmp_path / "report.json"
     argv = ["--genus", "1", "--max-genus", "4", "--power", "0", "--json", str(out)]
     assert script.main(argv) == 0
-    assert "37 checks: verified=37; skipped 7 off-genus" in capsys.readouterr().out
+    assert "33 checks: verified=33; skipped 7 off-genus" in capsys.readouterr().out
     assert (
         hashlib.sha256(out.read_bytes()).hexdigest()
-        == "a7583d138c3f50244c0b7be6f713ba483b560891601cf04ecfa1d8952032637f"
+        == "b758d18d26fae5fa070d299035451f9422260eef5b2df43565a834fba21807c3"
     )
 
 

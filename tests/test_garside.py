@@ -1,13 +1,11 @@
-"""Left-greedy normal forms, word equality, and band generators."""
+"""Left-greedy normal forms and word equality."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidkit.braid import BraidWord, Permutation
 from braidkit.garside import (
-    BandGenerator,
     delta_word,
-    expand_band,
     finishing_set,
     full_twist,
     is_trivial_word,
@@ -17,7 +15,6 @@ from braidkit.garside import (
     permutation_length,
     simple_to_word,
     starting_set,
-    verify_band_witness,
     words_equal,
 )
 
@@ -134,49 +131,3 @@ def test_relation_insertion_preserves_equality(w, data):
 def test_periodic_identity_small_genus():
     assert periodic_identity_check(1)
     assert periodic_identity_check(2)
-
-
-# -- band generators -----------------------------------------------------
-
-
-def test_band_generator_validation():
-    BandGenerator(1, 3)
-    with pytest.raises(ValueError):
-        BandGenerator(3, 1)
-    with pytest.raises(ValueError):
-        BandGenerator(2, 2)
-    with pytest.raises(ValueError):
-        BandGenerator(1, 2, sign=2)
-
-
-def test_expand_band():
-    assert expand_band(BandGenerator(1, 2), 3).letters == (1,)
-    assert expand_band(BandGenerator(1, 2, -1), 3).letters == (-1,)
-    assert expand_band(BandGenerator(1, 3), 3).letters == (2, 1, -2)
-    assert expand_band(BandGenerator(2, 4), 4).letters == (3, 2, -3)
-    with pytest.raises(ValueError):
-        expand_band(BandGenerator(1, 4), 3)
-
-
-def test_band_alternate_spelling():
-    # the conjugate runs the other way around: sigma_2 sigma_1 sigma_2^-1
-    # equals sigma_1^-1 sigma_2 sigma_1 by the braid relation
-    assert words_equal(
-        expand_band(BandGenerator(1, 3), 3), BraidWord(3, (-1, 2, 1))
-    )
-
-
-def test_band_witness_products():
-    trefoil = BraidWord(2, (1, 1, 1))
-    assert verify_band_witness([BandGenerator(1, 2)] * 3, trefoil)
-    assert not verify_band_witness([BandGenerator(1, 2)] * 2, trefoil)
-    # mirror image needs negative bands
-    mirror = BraidWord(2, (-1, -1, -1))
-    assert not verify_band_witness([BandGenerator(1, 2)] * 3, mirror)
-    assert verify_band_witness([BandGenerator(1, 2, -1)] * 3, mirror)
-
-
-def test_band_witness_with_far_bands():
-    target = BraidWord(4, (3, 2, -3, 1))
-    witness = [BandGenerator(2, 4), BandGenerator(1, 2)]
-    assert verify_band_witness(witness, target)

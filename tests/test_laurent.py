@@ -28,9 +28,9 @@ from braidkit.laurent import (
 )
 
 small_polys = st.builds(
-    LaurentPoly.from_coeffs,
-    st.lists(st.integers(-9, 9), max_size=6),
+    LaurentPoly,
     st.integers(-4, 4),
+    st.lists(st.integers(-9, 9), max_size=6),
 )
 
 
@@ -38,19 +38,23 @@ small_polys = st.builds(
 
 
 def test_construction_and_trim():
-    p = LaurentPoly.from_coeffs([0, 1, 2, 0], offset=-1)
+    p = LaurentPoly(-1, (0, 1, 2, 0))
     assert p.low_degree == 0 and p.degree == 1
     assert p.coefficient(0) == 1 and p.coefficient(1) == 2
     assert p.coefficient(5) == 0
-    assert LaurentPoly.from_coeffs([0, 0]).is_zero()
+    assert LaurentPoly(0, (0, 0)).is_zero()
 
 
 def test_from_coeffs_rejects_non_integers():
-    # int() would truncate [1/2, 1.9, 2] to 0, 1, 2
+    # the constructor takes integers only: int() would truncate
+    # [1/2, 1.9, 2] to 0, 1, 2, and a kept float would make an inexact
+    # "integer" polynomial
     with pytest.raises(TypeError):
-        LaurentPoly.from_coeffs([Fraction(1, 2), 2])
+        LaurentPoly(0, (Fraction(1, 2), 2))
     with pytest.raises(TypeError):
-        LaurentPoly.from_coeffs([1.9, 2])
+        LaurentPoly(0, (1.9, 2))
+    with pytest.raises(TypeError):
+        LaurentPoly(1.0, (1, 2))
 
 
 def test_basic_identities():
@@ -75,7 +79,7 @@ def test_pow_and_shift():
 
 
 def test_eval():
-    p = LaurentPoly.from_coeffs([1, -2, 1])  # (t-1)^2
+    p = LaurentPoly(0, (1, -2, 1))  # (t-1)^2
     assert p.eval_int(3) == 4
     assert p.eval_int(1) == 0
     assert p.eval(Fraction(1, 2)) == Fraction(1, 4)
@@ -86,26 +90,26 @@ def test_eval():
 
 
 def test_unit_normalization():
-    p = LaurentPoly.from_coeffs([-1, 3, -1], offset=-5)
+    p = LaurentPoly(-5, (-1, 3, -1))
     n = p.unit_normalized()
     assert n.low_degree == 0
     assert n.coefficient(0) > 0
-    assert n == LaurentPoly.from_coeffs([1, -3, 1])
+    assert n == LaurentPoly(0, (1, -3, 1))
     assert p.equals_up_to_units(n)
     assert not p.equals_up_to_units(LaurentPoly.one())
     assert LaurentPoly.zero().unit_normalized().is_zero()
 
 
 def test_palindromic_and_reciprocal():
-    fig8 = LaurentPoly.from_coeffs([1, -3, 1])
+    fig8 = LaurentPoly(0, (1, -3, 1))
     assert fig8.is_palindromic()
     assert fig8.reciprocal().equals_up_to_units(fig8)
-    skew = LaurentPoly.from_coeffs([2, -3, 1])
+    skew = LaurentPoly(0, (2, -3, 1))
     assert not skew.is_palindromic()
 
 
 def test_text_round_trip_fixed():
-    p = LaurentPoly.from_coeffs([1, -3, 1], offset=-1)
+    p = LaurentPoly(-1, (1, -3, 1))
     assert p.to_text() == "-1|1 -3 1"
     assert LaurentPoly.from_text("-1|1 -3 1") == p
     assert LaurentPoly.from_text("0|1") == LaurentPoly.one()
@@ -292,7 +296,7 @@ _long_coeffs = st.lists(
 )
 _staggered = st.one_of(
     st.just(LaurentPoly.zero()),
-    st.builds(LaurentPoly.from_coeffs, _long_coeffs, st.integers(-30, 30)),
+    st.builds(LaurentPoly, st.integers(-30, 30), _long_coeffs),
     st.builds(
         lambda c, k, e: LaurentPoly.monomial(e, c << k),
         st.integers(-9, 9),
@@ -529,9 +533,9 @@ def test_elimination_of_packed_charpoly_pencils(case):
 # with its own alignment exponent; the pivot is an off-diagonal entry
 # where a step has cancelled the diagonal one
 _long_diagonal = st.builds(
-    LaurentPoly.from_coeffs,
-    st.lists(st.integers(-(2**30), 2**30), min_size=3, max_size=10),
+    LaurentPoly,
     st.integers(-20, 20),
+    st.lists(st.integers(-(2**30), 2**30), min_size=3, max_size=10),
 )
 _short_off_diagonal = st.one_of(
     st.just(LaurentPoly.zero()),
@@ -859,9 +863,9 @@ _large_entry = st.one_of(
     st.just(LaurentPoly.zero()),
     small_polys,
     st.builds(
-        LaurentPoly.from_coeffs,
-        st.lists(st.integers(-(2**30), 2**30), max_size=8),
+        LaurentPoly,
         st.integers(-5, 5),
+        st.lists(st.integers(-(2**30), 2**30), max_size=8),
     ),
 )
 
@@ -887,9 +891,9 @@ def unit_determinant_matrices(draw):
     """
     n = draw(st.integers(2, 4))
     entry = st.builds(
-        LaurentPoly.from_coeffs,
-        st.lists(st.integers(-(2**12), 2**12), min_size=1, max_size=12),
+        LaurentPoly,
         st.integers(-3, 3),
+        st.lists(st.integers(-(2**12), 2**12), min_size=1, max_size=12),
     )
     zero = LaurentPoly.zero()
     diagonal = [
@@ -1092,9 +1096,8 @@ def test_divide_is_pseudo_division(a, b):
     quo, rem = laurent._divide(a, b)
     k = max(len(a) - len(b) + 1, 0)
     assert len(quo) == k and len(rem) < len(b)
-    poly = LaurentPoly.from_coeffs
-    scaled = poly([abs(b[-1]) ** k * c for c in a])
-    assert scaled == poly(quo) * poly(b) + poly(rem)
+    scaled = LaurentPoly(0, [abs(b[-1]) ** k * c for c in a])
+    assert scaled == LaurentPoly(0, quo) * LaurentPoly(0, b) + LaurentPoly(0, rem)
 
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -1198,7 +1201,7 @@ def test_sylvester_count_matches_factored_oracle(roots, scale, r, data):
     xs = {x for x, _ in roots}
     endpoint = st.one_of(dyadics, non_dyadics).filter(lambda e: e not in xs)
     lo, hi = sorted((data.draw(endpoint), data.draw(endpoint)))
-    values = [LaurentPoly.from_coeffs(r).eval(x) for x in xs if lo < x <= hi]
+    values = [LaurentPoly(0, r).eval(x) for x in xs if lo < x <= hi]
     expected = sum((v > 0) - (v < 0) for v in values)
     assert count_roots_in(sturm_chain(p, s), lo, hi) == expected
 

@@ -349,8 +349,8 @@ def test_sign_at_mu_is_zero_on_multiples_of_the_charpoly_and_minimal_polynomial(
     pair, factor
 ):
     cert = mu_certificate(pair)
-    m = LaurentPoly.from_coeffs(factor)
-    assert pacert._sign_at_mu(LaurentPoly.from_coeffs(cert.poly) * m, cert) == 0
+    m = LaurentPoly(0, factor)
+    assert pacert._sign_at_mu(LaurentPoly(0, cert.poly) * m, cert) == 0
     # mu_2 = (3 + sqrt 5)/2 has minimal polynomial t^2 - 3t + 1
     minimal = LaurentPoly(0, (1, -3, 1))
     assert pacert._sign_at_mu(minimal * m, mu_certificate(chain_pair(2))) == 0
