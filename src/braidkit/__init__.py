@@ -38,7 +38,6 @@ from .garside import (
 )
 from .laurent import LaurentPoly, charpoly, det_laurent
 from .invariants import (
-    SeifertMatrix,
     SignatureMarginError,
     alexander_from_burau,
     alexander_from_seifert,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 
 from .coverlift import (
     BranchedCoverData,
-    ChainSurface,
     branched_cover_euler,
     charpoly_int,
     fibred_alexander,

@@ -18,6 +18,7 @@ original_phi(genus) when asked to, and says so in FamilyWords.fixture.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 
 @dataclass(frozen=True)
@@ -80,15 +81,16 @@ class Permutation:
 
 @dataclass(frozen=True)
 class BraidWord:
-    """A word in the braid group on `strands` strands."""
+    """A word in the braid group on `strands` strands; integers only, never truncated."""
 
     strands: int
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "strands", index(self.strands))
+        object.__setattr__(self, "letters", tuple(map(index, self.letters)))
         if self.strands < 1:
             raise ValueError("a braid needs at least one strand")
-        object.__setattr__(self, "letters", tuple(int(x) for x in self.letters))
         for x in self.letters:
             if x == 0 or abs(x) >= self.strands:
                 raise ValueError(f"letter {x} out of range for {self.strands} strands")
@@ -180,6 +182,8 @@ class FamilySpec:
     variant: str = "original"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "genus", index(self.genus))
+        object.__setattr__(self, "power", index(self.power))
         if self.genus < 1:
             raise ValueError("genus must be at least 1")
         if self.power < 0:

@@ -29,7 +29,6 @@ from .braid import (
     format_braid_text,
 )
 from .coverlift import (
-    ChainSurface,
     branched_cover_euler,
     charpoly_int,
     fibred_alexander,
@@ -197,7 +196,7 @@ def _check_alexander_trivial(params: dict) -> dict:
 @register("fibre-genus")
 def _check_fibre_genus(params: dict) -> dict:
     genus = _genus(params)
-    family = branched_cover_euler(1, 2 * genus + 1)
+    family = branched_cover_euler(2 * genus + 1)
     ok = family.genus == genus and family.boundary == 1
     return {
         "genus": genus,
@@ -264,12 +263,10 @@ def _check_periodic_identity(params: dict) -> dict:
 )
 def _check_homology_invariance(params: dict) -> dict:
     genus = _genus(params, default=2)
-    surface = ChainSurface(2)
-    phi_lift = lift_homological(enhanced_phi(2), surface)
+    phi_lift = lift_homological(enhanced_phi(2))
     phi_trivial = phi_lift == mat_identity(4)
     lifts = [
-        lift_homological(family_braid(2, n, "enhanced"), surface)
-        for n in range(9)
+        lift_homological(family_braid(2, n, "enhanced")) for n in range(9)
     ]
     identical = all(m == lifts[0] for m in lifts)
     target = LaurentPoly(0, (1, -1, 1, -1, 1))
@@ -291,13 +288,12 @@ def _check_homology_invariance(params: dict) -> dict:
 )
 def _check_alexander_module(params: dict) -> dict:
     genus = _genus(params, default=2)
-    surface = ChainSurface(2)
     # a cyclic module has the charpoly as its single invariant factor
     single = all(
-        is_cyclic(lift_homological(family_braid(2, n, "enhanced"), surface))
+        is_cyclic(lift_homological(family_braid(2, n, "enhanced")))
         for n in range(6)
     )
-    fig8 = lift_homological(family_braid(1, 0, "original"), ChainSurface(1))
+    fig8 = lift_homological(family_braid(1, 0, "original"))
     fig8_single = is_cyclic(fig8)
     ok = single and fig8_single
     return {

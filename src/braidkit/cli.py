@@ -229,7 +229,3 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "emit":
         return _cmd_emit(args)
     raise AssertionError("unreachable")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -10,10 +10,11 @@ polynomials of such lifts are the Alexander polynomials of the fibred
 links the words describe, and the Seifert form can be recovered from the
 monodromy matrix by a linear solve.
 
-All matrices here are tuples of tuples of Python ints, and the Seifert
-solve stays in the integers too (fraction-free forward elimination and
-back substitution, no Fractions); sizes stay small, so exactness beats
-vectorization.
+No function takes the surface: a word's 2g + 1 strands and a matrix's
+size 2g fix the genus.  All matrices here are tuples of tuples of Python
+ints, and the Seifert solve stays in the integers too (fraction-free
+forward elimination and back substitution, no Fractions); sizes stay
+small, so exactness beats vectorization.
 A transvection touches one row, so the lift updates that row per letter;
 the product of `transvection` matrices is the reference it is tested
 against.  Whether a lift presents a cyclic Alexander module is decided by
@@ -62,69 +63,48 @@ def mat_max_abs(a: IntMatrix) -> int:
     return max((abs(x) for row in a for x in row), default=0)
 
 
-@dataclass(frozen=True)
-class ChainSurface:
-    """Genus-g surface with one boundary, homology spanned by a 2g-chain.
+def intersection_form(rank: int) -> IntMatrix:
+    """The chain form J on a 2g-chain basis a_1 .. a_{2g} of H_1.
 
-    Basis classes a_1 .. a_{2g} with <a_i, a_{i+1}> = 1 and all other
-    pairings zero; the form is antisymmetric and unimodular.
+    The genus-g surface with one boundary has rank 2g homology, with
+    <a_i, a_{i+1}> = 1 and all other pairings zero; the form is
+    antisymmetric and unimodular.
     """
-
-    genus: int
-
-    def __post_init__(self) -> None:
-        if self.genus < 1:
-            raise ValueError("genus must be at least 1")
-
-    @property
-    def rank(self) -> int:
-        return 2 * self.genus
-
-    @property
-    def strands(self) -> int:
-        return 2 * self.genus + 1
-
-    def intersection_form(self) -> IntMatrix:
-        k = self.rank
-        form = [[0] * k for _ in range(k)]
-        for i in range(k - 1):
-            form[i][i + 1] = 1
-            form[i + 1][i] = -1
-        return tuple(tuple(row) for row in form)
+    if rank < 2 or rank % 2:
+        raise ValueError(f"the chain form needs a positive even rank, got {rank}")
+    form = [[0] * rank for _ in range(rank)]
+    for i in range(rank - 1):
+        form[i][i + 1] = 1
+        form[i + 1][i] = -1
+    return tuple(tuple(row) for row in form)
 
 
-def transvection(surface: ChainSurface, index: int, sign: int) -> IntMatrix:
+def transvection(rank: int, index: int, sign: int) -> IntMatrix:
     """Matrix of x -> x + sign * <x, a_index> a_index on the chain basis."""
-    k = surface.rank
-    if not 1 <= index <= k:
-        raise ValueError(f"chain index {index} out of range 1..{k}")
+    form = intersection_form(rank)
+    if not 1 <= index <= rank:
+        raise ValueError(f"chain index {index} out of range 1..{rank}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    form = surface.intersection_form()
     i = index - 1
-    rows = []
-    for r in range(k):
-        row = list(1 if r == c else 0 for c in range(k))
-        if r == i:
-            # row picks up -sign * (J row i): M = I - sign * e_i e_i^T J
-            for c in range(k):
-                row[c] -= sign * form[i][c]
-        rows.append(tuple(row))
+    rows = list(mat_identity(rank))
+    # row i picks up -sign * (J row i): M = I - sign * e_i e_i^T J
+    rows[i] = tuple(x - sign * j for x, j in zip(rows[i], form[i]))
     return tuple(rows)
 
 
-def lift_homological(word: BraidWord, surface: ChainSurface) -> IntMatrix:
+def lift_homological(word: BraidWord) -> IntMatrix:
     """Ordered product of chain transvections; earlier letters act first.
 
-    Left-multiplying by transvection(surface, i, sign) changes only row i:
+    A word on 2g + 1 strands lifts to the rank 2g chain basis.
+    Left-multiplying by transvection(2g, i, sign) changes only row i:
     row_i -= sign * (row_{i+1} - row_{i-1}), missing neighbours being zero.
     """
-    if word.strands != surface.strands:
+    k = word.strands - 1
+    if k < 2 or k % 2:
         raise ValueError(
-            f"word on {word.strands} strands does not act on a genus "
-            f"{surface.genus} chain surface ({surface.strands} strands)"
+            f"a chain lift needs an odd strand count of at least 3, got {word.strands}"
         )
-    k = surface.rank
     rows = [list(row) for row in mat_identity(k)]
     zero = [0] * k
     for letter in word.letters:
@@ -136,8 +116,8 @@ def lift_homological(word: BraidWord, surface: ChainSurface) -> IntMatrix:
     return tuple(tuple(row) for row in rows)
 
 
-def is_symplectic(matrix: IntMatrix, surface: ChainSurface) -> bool:
-    form = surface.intersection_form()
+def is_symplectic(matrix: IntMatrix) -> bool:
+    form = intersection_form(len(matrix))
     return mat_mul(mat_transpose(matrix), mat_mul(form, matrix)) == form
 
 
@@ -152,42 +132,34 @@ def fibred_alexander(spec: FamilySpec) -> LaurentPoly:
     polynomial of the homological monodromy; that classical bridge is
     assumed, not re-derived here.
     """
-    word = build_family(spec).braid
-    surface = ChainSurface(spec.genus)
-    lift = lift_homological(word, surface)
+    lift = lift_homological(build_family(spec).braid)
     return charpoly_int(lift).unit_normalized()
 
 
 @dataclass(frozen=True)
 class BranchedCoverData:
-    base_chi: int
     branch_points: int
     chi: int
-    boundary: int | None
-    genus: int | None
+    boundary: int
+    genus: int
 
 
-def branched_cover_euler(base_chi: int, branch_points: int) -> BranchedCoverData:
-    """Euler characteristic of a double cover branched over k points.
+def branched_cover_euler(branch_points: int) -> BranchedCoverData:
+    """The double cover of the disk branched over k points.
 
-    chi(cover) = 2 chi(base) - k.  Over a disk the cover has one boundary
-    circle when k is odd and two when k is even, which pins the genus;
-    for other bases only chi is reported.
+    chi(cover) = 2 chi(disk) - k = 2 - k.  The cover has one boundary
+    circle when k is odd and two when k is even, which pins the genus.
     """
     if branch_points < 1:
         # with no branch points the double cover is a disjoint pair of
-        # copies of the base, and the connected-surface genus formula lies
+        # disks, and the connected-surface genus formula lies
         raise ValueError("branched cover needs at least one branch point")
-    chi = 2 * base_chi - branch_points
-    boundary: int | None = None
-    genus: int | None = None
-    if base_chi == 1:
-        boundary = 1 if branch_points % 2 == 1 else 2
-        genus = (2 - chi - boundary) // 2
-    return BranchedCoverData(base_chi, branch_points, chi, boundary, genus)
+    chi = 2 - branch_points
+    boundary = 2 - branch_points % 2
+    return BranchedCoverData(branch_points, chi, boundary, (2 - chi - boundary) // 2)
 
 
-def seifert_from_monodromy(matrix: IntMatrix, surface: ChainSurface) -> IntMatrix:
+def seifert_from_monodromy(matrix: IntMatrix) -> IntMatrix:
     """Integer S with S^T = S*M and S - S^T = -J, from S(I - M) = -J.
 
     det(S - t S^T) then agrees with the characteristic polynomial of M up
@@ -220,19 +192,19 @@ def seifert_from_monodromy(matrix: IntMatrix, surface: ChainSurface) -> IntMatri
     nonzero so far.  Each x'_k is then divided by d; a remainder is a
     ConventionError.
     """
-    size = surface.rank
-    if len(matrix) != size or any(len(row) != size for row in matrix):
-        raise ValueError("matrix size does not match surface rank")
-    form = surface.intersection_form()
+    size = len(matrix)
+    if any(len(row) != size for row in matrix):
+        raise ValueError("monodromy must be a square matrix")
+    form = intersection_form(size)  # refuses an odd or empty size
     # entry (r, c) of I - M is nonzero when M[r][c] != delta_rc
     order = sorted(
         range(size),
         key=lambda r: sum(x != int(r == c) for c, x in enumerate(matrix[r])),
     )
-    # row c is column c of I - M, in that order, then column c of -J
+    # row c is column c of I - M, in that order, then column c of -J,
+    # which is row c of the antisymmetric J
     rows = [
-        [int(r == c) - matrix[r][c] for r in order]
-        + [-form[r][c] for r in range(size)]
+        [int(r == c) - matrix[r][c] for r in order] + list(form[c])
         for c in range(size)
     ]
     # each row's divisor: the pivot of its last update; the row is its
@@ -318,9 +290,8 @@ def growth_sequence(
     """Max-absolute-entry of the lifted family word for each power."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    surface = ChainSurface(genus)
     out = []
     for n in powers:
         word = family_braid(genus, n, variant)
-        out.append(mat_max_abs(lift_homological(word, surface)))
+        out.append(mat_max_abs(lift_homological(word)))
     return tuple(out)

@@ -62,9 +62,10 @@ form is given by a local sign table: brick self-linking from the two band
 signs, shared-band bricks in a column, and interleaved bricks in adjacent
 columns, which meet once on the surface.  The table below is pinned by the
 requirement that both pipelines agree up to units and that positive torus
-words get negative definite symmetrized forms.  The Alexander polynomial
-det(S - t S^T) is an integer pencil, so it goes to `laurent.det_pencil`
-straight from the integer matrix.
+words get negative definite symmetrized forms.  A Seifert form S, from
+`brick_seifert` or `coverlift.seifert_from_monodromy`, is a tuple of int
+tuples.  The Alexander polynomial det(S - t S^T) is an integer pencil, so
+it goes to `laurent.det_pencil` straight from S.
 
 Signatures are exact at every rational point omega = x + iy of the unit
 circle, omega = -1 included.  The form (1 - omega) S + (1 - conj omega) S^T
@@ -84,7 +85,6 @@ diagonal of t I - M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -234,28 +234,6 @@ def alexander_from_burau(word: BraidWord) -> LaurentPoly:
 # -- Bennequin surface ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
-    """Integer Seifert linking matrix, rows and columns indexed by bricks."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if any(len(row) != len(self.entries) for row in self.entries):
-            raise ValueError("Seifert matrix must be square")
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def transpose(self) -> "SeifertMatrix":
-        return SeifertMatrix(tuple(zip(*self.entries))) if self.entries else self
-
-    def symmetrized(self) -> tuple[tuple[int, ...], ...]:
-        s = self.entries
-        return tuple(tuple(u + v for u, v in zip(row, col)) for row, col in zip(s, zip(*s)))
-
-
 # Adjacent-column bricks meet once on the surface; the asymmetric unit goes
 # in the slot fixed by cross-pipeline agreement with the Burau determinant
 # (240 random homogeneous knot words) and by matching tabulated signatures
@@ -266,7 +244,7 @@ _INTERLEAVE_LOW_FIRST = (0, 1)  # x in lower column starts first: V[x][y], V[y][
 _INTERLEAVE_HIGH_FIRST = (0, -1)  # y in higher column starts first: V[x][y], V[y][x]
 
 
-def brick_seifert(word: BraidWord) -> SeifertMatrix:
+def brick_seifert(word: BraidWord) -> tuple[tuple[int, ...], ...]:
     """Seifert matrix of the Bennequin surface of a sign-pure braid word.
 
     Preconditions: the closure is a knot, every index 1..n-1 occurs (the
@@ -308,12 +286,14 @@ def brick_seifert(word: BraidWord) -> SeifertMatrix:
                     mat[a][b], mat[b][a] = _INTERLEAVE_LOW_FIRST
                 elif pb < pa < qb < qa:
                     mat[a][b], mat[b][a] = _INTERLEAVE_HIGH_FIRST
-    return SeifertMatrix(tuple(tuple(row) for row in mat))
+    return tuple(tuple(row) for row in mat)
 
 
-def alexander_from_seifert(matrix: SeifertMatrix) -> LaurentPoly:
-    """det(S - t S^T), normalized; the empty matrix gives 1."""
-    s = matrix.entries
+def alexander_from_seifert(s) -> LaurentPoly:
+    """det(S - t S^T), normalized; the empty matrix gives 1.
+
+    `det_pencil` refuses a non-square S.
+    """
     minus_transpose = [[-x for x in column] for column in zip(*s)]
     return det_pencil(s, minus_transpose).unit_normalized()
 
@@ -322,7 +302,7 @@ class SignatureMarginError(ValueError):
     """The evaluation point is a root of the Alexander polynomial."""
 
 
-def signature_function(matrix: SeifertMatrix, omega=-1) -> int:
+def signature_function(s, omega=-1) -> int:
     """Signature of (1-omega) S + (1-conj(omega)) S^T, exactly.
 
     omega is -1 or a pair (x, y) of ints or Fractions on the unit circle,
@@ -332,6 +312,9 @@ def signature_function(matrix: SeifertMatrix, omega=-1) -> int:
     primitive minimal polynomial (q t**2 - 2p t + q, or t + 1) is even at 1
     and, by Gauss's lemma, cannot divide Delta in Z[t].
     """
+    m = len(s)
+    if any(len(row) != m for row in s):
+        raise ValueError("Seifert matrix must be square")
     point = (-1, 0) if isinstance(omega, int) and omega == -1 else omega
     pair = isinstance(point, tuple) and len(point) == 2
     if not (pair and all(isinstance(c, (int, Fraction)) for c in point)):
@@ -340,19 +323,17 @@ def signature_function(matrix: SeifertMatrix, omega=-1) -> int:
     if x * x + y * y != 1 or (x, y) == (1, 0):
         raise ValueError("omega must be a point of the unit circle other than 1")
     a, b = x.denominator - x.numerator, y.numerator  # d (1 - x) and d y
-    s = matrix.entries
-    big_a = [[a * v for v in row] for row in matrix.symmetrized()]
+    big_a = [[a * (u + v) for u, v in zip(row, col)] for row, col in zip(s, zip(*s))]
     big_b = [[b * (v - u) for u, v in zip(row, col)] for row, col in zip(s, zip(*s))]
     top = [ra + [-v for v in rb] for ra, rb in zip(big_a, big_b)]  # [A, -B]
     bottom = [rb + ra for ra, rb in zip(big_a, big_b)]  # [B, A]
-    m = matrix.size
     swap = [[-int(j == (i + m) % (2 * m)) for j in range(2 * m)] for i in range(2 * m)]
     # det(P M - t P) = (-1)^m det(t I - M) for the block swap P
     p = det_pencil(bottom + top, swap)
     if p.offset:  # a zero constant term is trimmed into the offset
         raise SignatureMarginError("omega is a root of the Alexander polynomial")
     # the 2m roots are real and nonzero, so (positive - negative) / 2 = positive - m
-    return _descartes(p.coeffs) - matrix.size
+    return _descartes(p.coeffs) - m
 
 
 def _descartes(coeffs: list[int]) -> int:

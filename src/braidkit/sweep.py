@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import index
 
 from .braid import VARIANTS, FamilySpec, build_family, format_braid_text
 from .coverlift import (
-    ChainSurface,
     branched_cover_euler,
     charpoly_int,
     lift_homological,
@@ -36,7 +36,6 @@ from .coverlift import (
 )
 from .destab import destabilize_greedy, replay_certificate
 from .invariants import (
-    SeifertMatrix,
     alexander_from_burau,
     alexander_from_seifert,
     knot_determinant,
@@ -71,6 +70,12 @@ class SweepConfig:
     timing: bool = False
 
     def __post_init__(self) -> None:
+        try:  # integers only: 2.0 is refused, not truncated
+            object.__setattr__(self, "genus", tuple(map(index, self.genus)))
+            object.__setattr__(self, "power", tuple(map(index, self.power)))
+            object.__setattr__(self, "parallelism", index(self.parallelism))
+        except TypeError:
+            raise ConfigError("genus, power and parallelism must be integers") from None
         if not self.genus or any(g < 1 for g in self.genus):
             raise ConfigError("genus range must be nonempty and positive")
         if not self.power or any(n < 0 for n in self.power):
@@ -236,16 +241,14 @@ def _build_record(
         record["determinant"] = knot_determinant(poly)
         holds.append(poly.equals_up_to_units(LaurentPoly.one()))
     if "fibred" in checks:
-        surface = ChainSurface(genus)
-        lift = lift_homological(word, surface)
+        lift = lift_homological(word)
         fibred_poly = charpoly_int(lift).unit_normalized()
         record["alexander_fibred"] = fibred_poly.to_text()
         record["lift_max_entry"] = mat_max_abs(lift)
-        cover = branched_cover_euler(1, 2 * genus + 1)
+        cover = branched_cover_euler(2 * genus + 1)
         record["fibre_genus"] = cover.genus
         holds.append(cover.genus == genus)
-        seifert = seifert_from_monodromy(lift, surface)
-        roundtrip = alexander_from_seifert(SeifertMatrix(seifert))
+        roundtrip = alexander_from_seifert(seifert_from_monodromy(lift))
         record["alexander_seifert"] = roundtrip.to_text()
         holds.append(roundtrip.equals_up_to_units(fibred_poly))
     if "pa" in checks:

@@ -21,7 +21,6 @@ from braidkit.braid import (
 )
 from braidkit.checks import run_check
 from braidkit.coverlift import (
-    ChainSurface,
     branched_cover_euler,
     charpoly_int,
     fibred_alexander,
@@ -39,7 +38,6 @@ from braidkit.garside import (
     words_equal,
 )
 from braidkit.invariants import (
-    SeifertMatrix,
     alexander_from_burau,
     alexander_from_seifert,
     brick_seifert,
@@ -124,9 +122,9 @@ def test_criterion_02_alexander_triviality():
 
 def test_criterion_03_fibre_genus():
     for genus in range(1, 65):
-        data = branched_cover_euler(1, 2 * genus + 1)
+        data = branched_cover_euler(2 * genus + 1)
         assert data.genus == genus and data.boundary == 1, genus
-    base = branched_cover_euler(1, 3)
+    base = branched_cover_euler(3)
     assert base.genus == 1 and base.boundary == 1
     verdict(3, "double branched cover genus for g in 1..64", True)
 
@@ -177,16 +175,11 @@ def test_criterion_06_periodic_identity():
 
 
 def test_criterion_07_enhanced_invariance():
-    surface = ChainSurface(2)
-    assert lift_homological(enhanced_phi(2), surface) == mat_identity(4)
-    reference_lift = lift_homological(
-        family_braid(2, 0, "enhanced"), surface
-    )
+    assert lift_homological(enhanced_phi(2)) == mat_identity(4)
+    reference_lift = lift_homological(family_braid(2, 0, "enhanced"))
     target = LaurentPoly.from_text("0|1 -1 1 -1 1")
     for power in range(0, 9):
-        lift = lift_homological(
-            family_braid(2, power, "enhanced"), surface
-        )
+        lift = lift_homological(family_braid(2, power, "enhanced"))
         assert lift == reference_lift, power
         poly = fibred_alexander(FamilySpec(2, power, "enhanced"))
         assert poly.equals_up_to_units(target), power
@@ -242,12 +235,11 @@ def test_criterion_09_oracle_equivalence():
         via_burau = alexander_from_burau(word)
         assert via_seifert.equals_up_to_units(via_burau), word
     for genus in range(1, 5):
-        surface = ChainSurface(genus)
-        lift = lift_homological(family_braid(genus, 1), surface)
-        solved = seifert_from_monodromy(lift, surface)
-        assert alexander_from_seifert(
-            SeifertMatrix(solved)
-        ).equals_up_to_units(charpoly_int(lift)), genus
+        lift = lift_homological(family_braid(genus, 1))
+        solved = seifert_from_monodromy(lift)
+        assert alexander_from_seifert(solved).equals_up_to_units(
+            charpoly_int(lift)
+        ), genus
     verdict(
         9,
         "Burau and Seifert pipelines agree",

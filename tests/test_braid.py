@@ -79,6 +79,15 @@ def test_braid_word_validation():
         BraidWord(0, ())
 
 
+@pytest.mark.parametrize(
+    "strands, letters", [(3, (1.7,)), (3, (2.0,)), (3, ("1",)), (3.5, ()), (3.0, (1,))]
+)
+def test_braid_word_takes_integers_only(strands, letters):
+    # nothing is truncated or parsed: 1.7 is not sigma_1
+    with pytest.raises(TypeError):
+        BraidWord(strands, letters)
+
+
 def test_braid_word_multiplication_and_power():
     u = BraidWord(3, (1, 2))
     v = BraidWord(3, (-2,))
@@ -169,6 +178,12 @@ def test_family_spec_validation():
         FamilySpec(2, power=-1)
     with pytest.raises(ValueError):
         FamilySpec(2, variant="other")
+
+
+@pytest.mark.parametrize("genus, power", [(2.0, 0), (2.5, 0), (2, 1.0), (2, 0.5)])
+def test_family_spec_takes_integers_only(genus, power):
+    with pytest.raises(TypeError):
+        FamilySpec(genus, power)
 
 
 def test_building_blocks():

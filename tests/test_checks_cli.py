@@ -6,6 +6,8 @@ import importlib.util
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -410,6 +412,20 @@ def test_non_integer_config_value_names_the_key(key, tmp_path, capsys):
     assert f"config error: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"genus": (2.0,), "power": (0,)},
+        {"genus": (2,), "power": (0, 1.5)},
+        {"genus": (2,), "power": (0,), "parallelism": 2.0},
+    ],
+)
+def test_sweep_config_takes_integers_only(fields):
+    # a float genus used to pass the config and abort run_sweep with a TypeError
+    with pytest.raises(ConfigError, match="must be integers"):
+        SweepConfig(**fields)
+
+
 def test_sweep_cardinality():
     cfg = SweepConfig(
         genus=(2, 3, 4),
@@ -620,6 +636,18 @@ def test_cli_family(capsys):
     argv = ["family", "--genus", "3", "--power", "1", "--variant", "enhanced"]
     assert main(argv + ["--fixture"]) == 0
     assert capsys.readouterr().out.strip() == "7 6 5 4 3 2 2 -3 1 3 -2"
+
+
+def test_python_dash_m_runs_the_cli():
+    # a source checkout, not installed, has the command line as python -m
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "braidkit", "family", "--genus", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (result.returncode, result.stdout) == (0, "3 2 -1\n"), result.stderr
 
 
 def test_cli_family_json(capsys):

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from braidkit import laurent
 from braidkit.braid import BraidWord, FamilySpec, family_braid
 from braidkit.coverlift import (
-    ChainSurface,
     ConventionError,
     branched_cover_euler,
     charpoly_int,
     fibred_alexander,
     growth_sequence,
+    intersection_form,
     is_cyclic,
     is_symplectic,
     lift_homological,
@@ -24,7 +24,7 @@ from braidkit.coverlift import (
     seifert_from_monodromy,
     transvection,
 )
-from braidkit.invariants import SeifertMatrix, alexander_from_seifert
+from braidkit.invariants import alexander_from_seifert
 from braidkit.laurent import LaurentPoly
 
 
@@ -40,15 +40,16 @@ def small_words(genus=2, max_len=8):
 
 
 def test_chain_surface_shape():
-    s = ChainSurface(3)
-    assert s.rank == 6
-    assert s.strands == 7
-    with pytest.raises(ValueError):
-        ChainSurface(0)
+    # the chain form of the genus-3 surface
+    form = intersection_form(6)
+    assert len(form) == 6 and all(len(row) == 6 for row in form)
+    for rank in (0, 3, -2):
+        with pytest.raises(ValueError):
+            intersection_form(rank)
 
 
 def test_intersection_form_is_chain_symplectic():
-    form = ChainSurface(2).intersection_form()
+    form = intersection_form(4)
     assert form == (
         (0, 1, 0, 0),
         (-1, 0, 1, 0),
@@ -58,18 +59,17 @@ def test_intersection_form_is_chain_symplectic():
 
 
 def test_transvection_matrices():
-    s = ChainSurface(2)
-    assert transvection(s, 1, 1)[0] == (1, -1, 0, 0)
-    assert transvection(s, 1, -1)[0] == (1, 1, 0, 0)
+    assert transvection(4, 1, 1)[0] == (1, -1, 0, 0)
+    assert transvection(4, 1, -1)[0] == (1, 1, 0, 0)
     # opposite signs cancel
     assert (
-        mat_mul(transvection(s, 2, 1), transvection(s, 2, -1))
+        mat_mul(transvection(4, 2, 1), transvection(4, 2, -1))
         == mat_identity(4)
     )
     with pytest.raises(ValueError):
-        transvection(s, 5, 1)
+        transvection(4, 5, 1)
     with pytest.raises(ValueError):
-        transvection(s, 1, 0)
+        transvection(4, 1, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,51 +80,47 @@ def test_transvection_matrices():
 )
 def test_lift_equals_transvection_product(case):
     genus, word = case
-    s = ChainSurface(genus)
-    expected = mat_identity(s.rank)
+    expected = mat_identity(2 * genus)
     for letter in word.letters:
-        t = transvection(s, abs(letter), 1 if letter > 0 else -1)
+        t = transvection(2 * genus, abs(letter), 1 if letter > 0 else -1)
         expected = mat_mul(t, expected)
-    assert lift_homological(word, s) == expected
+    assert lift_homological(word) == expected
 
 
 def test_transvections_are_symplectic():
-    s = ChainSurface(3)
     for i in range(1, 7):
         for sign in (1, -1):
-            assert is_symplectic(transvection(s, i, sign), s)
+            assert is_symplectic(transvection(6, i, sign))
 
 
 def test_lift_respects_braid_relations():
-    s = ChainSurface(2)
-    assert lift_homological(BraidWord(5, (1, 2, 1)), s) == lift_homological(
-        BraidWord(5, (2, 1, 2)), s
+    assert lift_homological(BraidWord(5, (1, 2, 1))) == lift_homological(
+        BraidWord(5, (2, 1, 2))
     )
-    assert lift_homological(BraidWord(5, (1, 3)), s) == lift_homological(
-        BraidWord(5, (3, 1)), s
+    assert lift_homological(BraidWord(5, (1, 3))) == lift_homological(
+        BraidWord(5, (3, 1))
     )
 
 
 def test_lift_known_values():
-    m = lift_homological(BraidWord(3, (2, -1)), ChainSurface(1))
+    m = lift_homological(BraidWord(3, (2, -1)))
     assert m == ((2, 1), (1, 1))
     assert charpoly_int(m).to_text() == "0|1 -3 1"
-    trefoil_monodromy = lift_homological(BraidWord(3, (1, 2)), ChainSurface(1))
+    trefoil_monodromy = lift_homological(BraidWord(3, (1, 2)))
     assert charpoly_int(trefoil_monodromy).to_text() == "0|1 -1 1"
 
 
 def test_lift_strand_mismatch():
     with pytest.raises(ValueError):
-        lift_homological(BraidWord(4, (1,)), ChainSurface(2))
+        lift_homological(BraidWord(4, (1,)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_words())
 def test_lifts_are_symplectic(w):
-    s = ChainSurface(2)
-    m = lift_homological(w, s)
-    assert is_symplectic(m, s)
-    inv = lift_homological(w.inverse(), s)
+    m = lift_homological(w)
+    assert is_symplectic(m)
+    inv = lift_homological(w.inverse())
     assert mat_mul(inv, m) == mat_identity(4)
 
 
@@ -151,7 +147,7 @@ def test_fibred_alexander_enhanced_invariance():
 def test_enhanced_stirring_word_lifts_trivially():
     from braidkit.braid import enhanced_phi
 
-    lift = lift_homological(enhanced_phi(2), ChainSurface(2))
+    lift = lift_homological(enhanced_phi(2))
     assert lift == mat_identity(4)
 
 
@@ -167,52 +163,46 @@ def test_fibred_degree_is_twice_genus():
 
 def test_branched_cover_over_disk():
     for g in (1, 2, 5, 64):
-        data = branched_cover_euler(1, 2 * g + 1)
+        data = branched_cover_euler(2 * g + 1)
         assert data.chi == 1 - 2 * g
         assert data.boundary == 1
         assert data.genus == g
-    data = branched_cover_euler(1, 3)
+    data = branched_cover_euler(3)
     assert data.genus == 1 and data.boundary == 1
 
 
 def test_branched_cover_even_points():
-    data = branched_cover_euler(1, 2)
+    data = branched_cover_euler(2)
     assert data.chi == 0 and data.boundary == 2 and data.genus == 0
-    data = branched_cover_euler(1, 4)
+    data = branched_cover_euler(4)
     assert data.genus == 1 and data.boundary == 2
 
 
-def test_branched_cover_other_bases():
-    # over a sphere only chi is defined by this bookkeeping
-    data = branched_cover_euler(2, 4)
-    assert data.chi == 0
-    assert data.boundary is None and data.genus is None
+def test_branched_cover_needs_a_branch_point():
     with pytest.raises(ValueError):
-        branched_cover_euler(1, 0)
+        branched_cover_euler(0)
     with pytest.raises(ValueError):
-        branched_cover_euler(1, -2)
+        branched_cover_euler(-2)
 
 
 # -- Seifert solve -------------------------------------------------------
 
 
 def test_seifert_from_trefoil_monodromy():
-    s = ChainSurface(1)
-    m = lift_homological(BraidWord(3, (1, 2)), s)
-    v = seifert_from_monodromy(m, s)
+    m = lift_homological(BraidWord(3, (1, 2)))
+    v = seifert_from_monodromy(m)
     assert v == ((-1, 0), (1, -1))
-    sym = SeifertMatrix(v).symmetrized()
+    sym = tuple(tuple(x + y for x, y in zip(row, col)) for row, col in zip(v, zip(*v)))
     assert sym == ((-2, 1), (1, -2))  # negative definite: positive fibred knot
 
 
 def test_seifert_solve_identities():
     # S - S^T = -J and S^T = S M, the defining relations of the solve
     for g in (1, 2, 3):
-        surface = ChainSurface(g)
-        m = lift_homological(family_braid(g, 1), surface)
-        v = seifert_from_monodromy(m, surface)
+        m = lift_homological(family_braid(g, 1))
+        v = seifert_from_monodromy(m)
         vt = tuple(map(tuple, zip(*v)))
-        j = surface.intersection_form()
+        j = intersection_form(2 * g)
         assert all(
             v[i][k] - vt[i][k] == -j[i][k]
             for i in range(2 * g)
@@ -223,26 +213,24 @@ def test_seifert_solve_identities():
 
 def test_seifert_solve_round_trips_charpoly():
     for g in (1, 2, 3, 4):
-        surface = ChainSurface(g)
-        m = lift_homological(family_braid(g, 2), surface)
-        v = seifert_from_monodromy(m, surface)
-        assert alexander_from_seifert(SeifertMatrix(v)).equals_up_to_units(
+        m = lift_homological(family_braid(g, 2))
+        v = seifert_from_monodromy(m)
+        assert alexander_from_seifert(v).equals_up_to_units(
             charpoly_int(m)
         )
 
 
 def test_seifert_solve_rejects_unit_eigenvalue():
     with pytest.raises(ValueError):
-        seifert_from_monodromy(mat_identity(2), ChainSurface(1))
+        seifert_from_monodromy(mat_identity(2))
 
 
 def test_seifert_solve_rejects_a_two_component_link():
     # the closure of s1^2 s2 has two components; its monodromy solve is
     # non-integral under the knot convention
-    s = ChainSurface(1)
-    m = lift_homological(BraidWord(3, (1, 1, 2)), s)
+    m = lift_homological(BraidWord(3, (1, 1, 2)))
     with pytest.raises(ConventionError):
-        seifert_from_monodromy(m, s)
+        seifert_from_monodromy(m)
 
 
 def _solve_right(a, rhs):
@@ -302,21 +290,20 @@ def one_letter_each_words(draw, genus, max_squares=12):
 )
 def test_seifert_solve_matches_the_rational_oracle(case):
     genus, word = case
-    surface = ChainSurface(genus)
-    m = lift_homological(word, surface)
-    k = surface.rank
-    j = surface.intersection_form()
+    m = lift_homological(word)
+    k = 2 * genus
+    j = intersection_form(k)
     i_minus_m = [[int(r == c) - m[r][c] for c in range(k)] for r in range(k)]
     expected = _solve_right(i_minus_m, [[-x for x in row] for row in j])
     if expected is None:
         with pytest.raises(ValueError, match="eigenvalue"):
-            seifert_from_monodromy(m, surface)
+            seifert_from_monodromy(m)
         return
     if any(x.denominator != 1 for row in expected for x in row):
         with pytest.raises(ConventionError):
-            seifert_from_monodromy(m, surface)
+            seifert_from_monodromy(m)
         return
-    v = seifert_from_monodromy(m, surface)
+    v = seifert_from_monodromy(m)
     assert v == tuple(tuple(int(x) for x in row) for row in expected)
     vt = mat_transpose(v)
     assert all(
@@ -335,16 +322,15 @@ def test_seifert_solve_is_exact_with_deferred_row_scaling(case):
     # rows with a zero pivot-column entry keep an older divisor, so S^T's
     # rows end divided by different pivots; S must still solve the system
     genus, word = case
-    surface = ChainSurface(genus)
-    m = lift_homological(word, surface)
-    k = surface.rank
-    j = surface.intersection_form()
+    m = lift_homological(word)
+    k = 2 * genus
+    j = intersection_form(k)
     i_minus_m = tuple(
         tuple(int(r == c) - m[r][c] for c in range(k)) for r in range(k)
     )
     minus_j = tuple(tuple(-x for x in row) for row in j)
     try:
-        v = seifert_from_monodromy(m, surface)
+        v = seifert_from_monodromy(m)
     except ConventionError:
         expected = _solve_right(i_minus_m, minus_j)
         assert any(x.denominator != 1 for row in expected for x in row)
@@ -356,10 +342,10 @@ def test_seifert_solve_is_exact_with_deferred_row_scaling(case):
     )
 
 
-def _assert_seifert_identities(v, m, surface):
+def _assert_seifert_identities(v, m):
     # S(I - M) = -J and S - S^T = -J
-    k = surface.rank
-    j = surface.intersection_form()
+    k = len(m)
+    j = intersection_form(k)
     i_minus_m = tuple(
         tuple(int(r == c) - m[r][c] for c in range(k)) for r in range(k)
     )
@@ -382,26 +368,24 @@ def test_seifert_solve_on_conjugated_family_words(case):
     # conjugation keeps the unknot closure, so I - M stays unimodular and S
     # integral, but S is denser than the family's nearly bidiagonal one
     genus, power, conjugator = case
-    surface = ChainSurface(genus)
     word = conjugator * family_braid(genus, power) * conjugator.inverse()
-    m = lift_homological(word, surface)
-    k = surface.rank
+    m = lift_homological(word)
+    k = 2 * genus
     i_minus_m = [[int(r == c) - m[r][c] for c in range(k)] for r in range(k)]
-    minus_j = [[-x for x in row] for row in surface.intersection_form()]
+    minus_j = [[-x for x in row] for row in intersection_form(k)]
     expected = _solve_right(i_minus_m, minus_j)
     assert all(x.denominator == 1 for row in expected for x in row)
-    v = seifert_from_monodromy(m, surface)
+    v = seifert_from_monodromy(m)
     assert v == tuple(tuple(int(x) for x in row) for row in expected)
-    _assert_seifert_identities(v, m, surface)
+    _assert_seifert_identities(v, m)
 
 
 def test_seifert_solve_on_the_monodromy_lift_grid():
     for genus in range(2, 11):
-        surface = ChainSurface(genus)
         for power in range(11):
-            m = lift_homological(family_braid(genus, power), surface)
-            v = seifert_from_monodromy(m, surface)
-            _assert_seifert_identities(v, m, surface)
+            m = lift_homological(family_braid(genus, power))
+            v = seifert_from_monodromy(m)
+            _assert_seifert_identities(v, m)
 
 
 @pytest.mark.parametrize(
@@ -416,8 +400,14 @@ def test_seifert_solve_on_the_monodromy_lift_grid():
 )
 def test_seifert_solve_rejects_rows_of_the_wrong_length(matrix):
     # the trefoil lift is ((1, -1), (1, 0)); no row may be cut or padded
-    with pytest.raises(ValueError, match="does not match surface rank"):
-        seifert_from_monodromy(matrix, ChainSurface(1))
+    with pytest.raises(ValueError, match="must be a square matrix"):
+        seifert_from_monodromy(matrix)
+
+
+@pytest.mark.parametrize("matrix", [(), ((2,),), ((1, 0, 0), (0, 1, 0), (0, 0, 2))])
+def test_seifert_solve_rejects_an_odd_or_empty_size(matrix):
+    with pytest.raises(ValueError, match="positive even rank"):
+        seifert_from_monodromy(matrix)
 
 
 # -- Alexander module ----------------------------------------------------
@@ -433,10 +423,9 @@ def test_monodromy_lift_pencils_take_one_slot():
         return real(values, exps)
 
     for genus in range(2, 11):
-        surface = ChainSurface(genus)
         for power in range(0, 11):
-            lift = lift_homological(family_braid(genus, power), surface)
-            seifert = SeifertMatrix(seifert_from_monodromy(lift, surface))
+            lift = lift_homological(family_braid(genus, power))
+            seifert = seifert_from_monodromy(lift)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(laurent, "_bareiss_det", count)
                 charpoly_int(lift)
@@ -451,7 +440,7 @@ def test_module_invariants_identity():
 
 
 def test_module_invariants_single_factor():
-    m = lift_homological(family_braid(2, 0, "enhanced"), ChainSurface(2))
+    m = lift_homological(family_braid(2, 0, "enhanced"))
     assert is_cyclic(m)
 
 

@@ -14,9 +14,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from braidkit import invariants, laurent
 from braidkit.braid import BraidWord, closure_components, exponent_sum, family_braid
-from braidkit.coverlift import ChainSurface, lift_homological, seifert_from_monodromy
+from braidkit.coverlift import lift_homological, seifert_from_monodromy
 from braidkit.invariants import (
-    SeifertMatrix,
     SignatureMarginError,
     alexander_from_burau,
     alexander_from_seifert,
@@ -314,17 +313,17 @@ def test_alexander_rejects_links():
 
 
 def test_brick_trefoil_matrices():
-    assert brick_seifert(TREFOIL).entries == ((-1, 1), (0, -1))
-    assert brick_seifert(TREFOIL.mirror()).entries == ((1, 0), (-1, 1))
-    assert brick_seifert(FIG8).entries == ((-1, 0), (1, 1))
+    assert brick_seifert(TREFOIL) == ((-1, 1), (0, -1))
+    assert brick_seifert(TREFOIL.mirror()) == ((1, 0), (-1, 1))
+    assert brick_seifert(FIG8) == ((-1, 0), (1, 1))
     # one brick, no generators: the unknot has an empty Seifert matrix
-    assert brick_seifert(BraidWord(2, (1,))).entries == ()
+    assert brick_seifert(BraidWord(2, (1,))) == ()
 
 
 def test_brick_rank_counts_bands():
     # rank = crossings - strands + 1 for a connected Bennequin surface
-    assert brick_seifert(SIX_TWO).size == 4
-    assert brick_seifert(BraidWord(2, (1,) * 9)).size == 8
+    assert len(brick_seifert(SIX_TWO)) == 4
+    assert len(brick_seifert(BraidWord(2, (1,) * 9))) == 8
 
 
 def test_brick_rejects_bad_words():
@@ -350,17 +349,17 @@ def test_seifert_alexander_matches_burau():
 def test_sparse_brick_pencils_match_burau(word):
     # 120 x 120 brick pencils that are zero off a narrow band: the
     # elimination leaves the rows below the band unscaled until they meet it
-    assert brick_seifert(word).size == 120
+    assert len(brick_seifert(word)) == 120
     assert alexander_from_seifert(brick_seifert(word)) == alexander_from_burau(word)
 
 
 def test_seifert_matrix_helpers():
-    s = SeifertMatrix(((-1, 1), (0, -1)))
-    assert s.size == 2
-    assert s.transpose().entries == ((-1, 0), (1, -1))
-    assert s.symmetrized() == ((-2, 1), (1, -2))
-    with pytest.raises(ValueError):
-        SeifertMatrix(((1, 2),))
+    # a Seifert form is a square tuple of int tuples
+    for form in (((1, 2),), ((1, 2), (3,)), ((1,), (2, 3))):
+        with pytest.raises(ValueError, match="non-square pencil"):
+            alexander_from_seifert(form)
+        with pytest.raises(ValueError, match="must be square"):
+            signature_function(form)
 
 
 @settings(max_examples=120, deadline=None)
@@ -397,7 +396,7 @@ def test_signature_off_minus_one_jumps_at_the_alexander_roots():
 def test_signature_takes_exact_points_of_the_circle():
     # the zero form is singular at every point
     with pytest.raises(SignatureMarginError):
-        signature_function(SeifertMatrix(((0, 0), (0, 0))), (0, 1))
+        signature_function(((0, 0), (0, 0)), (0, 1))
     form = brick_seifert(TREFOIL)
     for omega in (1j, -1.0, (0.6, 0.8), (1, 1), (Fraction(1, 2), Fraction(1, 2)), (1, 0)):
         with pytest.raises(ValueError) as excinfo:
@@ -428,16 +427,14 @@ def test_exact_signature_matches_floating_point_eigenvalues(rows, point):
     # a float eigenvalue this close to 0 decides nothing
     assume(min(abs(eigs)) > 1e-7)
     expected = int(numpy.sum(eigs > 0) - numpy.sum(eigs < 0))
-    assert signature_function(SeifertMatrix(tuple(map(tuple, rows))), point) == expected
+    assert signature_function(rows, point) == expected
 
 
 def family_seifert_forms():
     def form(case):
         genus, power, variant = case
-        surface = ChainSurface(genus)
         word = family_braid(genus, power, variant, allow_extension_fixture=True)
-        lift = lift_homological(word, surface)
-        return SeifertMatrix(seifert_from_monodromy(lift, surface))
+        return seifert_from_monodromy(lift_homological(word))
 
     cases = st.tuples(
         st.integers(1, 4), st.integers(0, 10), st.sampled_from(["original", "enhanced"])
@@ -484,7 +481,7 @@ def test_importing_the_cli_leaves_numpy_unloaded():
 def test_signature_margin_guard():
     # omega = -1 annihilates this form, so no signed count is possible
     with pytest.raises(SignatureMarginError):
-        signature_function(SeifertMatrix(((0, 0), (0, 0))))
+        signature_function(((0, 0), (0, 0)))
 
 
 def test_determinants():

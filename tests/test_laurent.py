@@ -8,12 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from braidkit import laurent
 from braidkit.braid import family_braid
-from braidkit.coverlift import (
-    ChainSurface,
-    lift_homological,
-    seifert_from_monodromy,
-)
-from braidkit.invariants import SeifertMatrix, alexander_from_seifert
+from braidkit.coverlift import lift_homological, seifert_from_monodromy
+from braidkit.invariants import alexander_from_seifert
 from braidkit.laurent import (
     LaurentPoly,
     _bareiss_det,
@@ -591,7 +587,7 @@ def _fraction_det(rows):
 @pytest.mark.parametrize("power", [0, 5, 10])
 def test_genus_ten_charpolys_match_rational_evaluations(power):
     # a degree-20 polynomial is fixed by its values at 21 points
-    lift = lift_homological(family_braid(10, power, "original"), ChainSurface(10))
+    lift = lift_homological(family_braid(10, power, "original"))
     p = charpoly(lift)
     n = len(lift)
     assert p.offset == 0 and len(p.coeffs) == n + 1
@@ -814,11 +810,10 @@ def test_laurent_slot_is_never_wider_than_the_row_l1_slot(m):
 def test_genus_ten_fibred_slots():
     # the charpoly's coefficients need at most 43 bits here; the Hadamard
     # slot is 121 bits, and the Seifert pencil's 79
-    surface = ChainSurface(10)
-    lift = lift_homological(family_braid(10, 10, "original"), surface)
+    lift = lift_homological(family_braid(10, 10, "original"))
     slot = _one_slot(lambda: charpoly(lift))[1]
     assert slot <= 121
-    seifert = SeifertMatrix(seifert_from_monodromy(lift, surface))
+    seifert = seifert_from_monodromy(lift)
     slot = _one_slot(lambda: alexander_from_seifert(seifert))[1]
     assert slot <= 79
 
@@ -837,7 +832,7 @@ def test_pencil_entries_that_are_not_integers_raise():
     with pytest.raises(TypeError):
         det_pencil([[2.7]], [[1]])
     with pytest.raises(TypeError):
-        alexander_from_seifert(SeifertMatrix(((0.5, 0), (0, 0.5))))
+        alexander_from_seifert(((0.5, 0), (0, 0.5)))
 
 
 # -- one slot per determinant -------------------------------------------
