@@ -42,7 +42,6 @@ from .invariants import (
     alexander_from_burau,
     alexander_from_seifert,
     brick_seifert,
-    determinant_from_word,
     knot_determinant,
     reduced_burau,
     signature_function,

@@ -55,10 +55,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(out)
 
 
-def mat_transpose(a: IntMatrix) -> IntMatrix:
-    return tuple(zip(*a)) if a else ()
-
-
 def mat_max_abs(a: IntMatrix) -> int:
     return max((abs(x) for row in a for x in row), default=0)
 
@@ -114,11 +110,6 @@ def lift_homological(word: BraidWord) -> IntMatrix:
         below = rows[i + 1] if i + 1 < k else zero
         rows[i] = [x - sign * (b - a) for x, a, b in zip(rows[i], above, below)]
     return tuple(tuple(row) for row in rows)
-
-
-def is_symplectic(matrix: IntMatrix) -> bool:
-    form = intersection_form(len(matrix))
-    return mat_mul(mat_transpose(matrix), mat_mul(form, matrix)) == form
 
 
 def charpoly_int(matrix: IntMatrix) -> LaurentPoly:

@@ -98,31 +98,7 @@ from .laurent import (
     slot_bits,
 )
 
-_ONE = LaurentPoly.one()
-
 LaurentMatrix = list[list[LaurentPoly]]
-
-
-def laurent_identity(size: int) -> LaurentMatrix:
-    return [
-        [_ONE if i == j else LaurentPoly.zero() for j in range(size)]
-        for i in range(size)
-    ]
-
-
-def laurent_mat_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
-    size = len(a)
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = LaurentPoly.zero()
-            for k in range(size):
-                if not a[i][k].is_zero() and not b[k][j].is_zero():
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 # words longer than four chunks of this many letters bound their Burau
@@ -346,13 +322,3 @@ def knot_determinant(alex: LaurentPoly) -> int:
     """|Delta(-1)|."""
     return abs(alex.eval_int(-1))
 
-
-def determinant_from_word(word: BraidWord) -> int:
-    return knot_determinant(alexander_from_burau(word))
-
-
-def genus_bound_from_alexander(alex: LaurentPoly) -> int:
-    """Half the breadth of the Alexander polynomial, a lower genus bound."""
-    if alex.is_zero():
-        return 0
-    return (alex.degree - alex.low_degree + 1) // 2

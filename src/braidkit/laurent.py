@@ -1,10 +1,11 @@
-"""Exact integer Laurent polynomial arithmetic.
+"""Exact integer Laurent polynomials: the value type and its determinants.
 
-A Laurent polynomial is stored as an offset (the lowest exponent) together
-with a dense tuple of integer coefficients.  All arithmetic is exact over the
-integers; nothing here ever touches floating point.  The module also provides
-exact determinants of Laurent polynomial matrices, which is what the Burau
-and Seifert pipelines reduce to.
+`LaurentPoly` is a value: an offset (the lowest exponent) and a dense tuple
+of integer coefficients, trimmed at both ends.  Determinants return it and
+reports print it (`to_text`); it compares up to units and evaluates at an
+integer, and carries no arithmetic.  Polynomial arithmetic is done on dense
+ascending int sequences (see the integer polynomials below).  Nothing here
+ever touches floating point.
 
 Determinants use Kronecker substitution: every entry is evaluated at t = 2**B,
 the resulting integer matrix is eliminated fraction-free (Bareiss), and the
@@ -90,13 +91,15 @@ shifts, and then takes 2**(B-1) off each digit.  Both halves recurse, so k
 digits cost O(k B log k) bit operations rather than the O(k**2 B) of one
 digit at a time.
 
-It also holds the integer polynomial arithmetic (dense ascending int
-lists) of root counting, of the mu tests of `pacert` and of the Burau
-quotient of `invariants`.  `_divide(a, b)` is pseudo-division: the
-quotient and remainder of |lc(b)|**k * a by b, with
-k = len(a) - len(b) + 1.  The multiplier is positive, so every sign is
-kept, and it is 1 when b is monic, so reduction modulo a characteristic
-polynomial, and division by 1 + t + ... + t^(n-1), is exact.
+It also holds the one integer polynomial arithmetic of the product, on
+dense ascending int sequences (the coefficient of t^k at position k): that
+of root counting, of the trace polynomials and mu tests of `pacert` and of
+the Burau quotient of `invariants`.  `_mul(a, b)` is the product.
+`_divide(a, b)` is pseudo-division: the quotient and remainder of
+|lc(b)|**k * a by b, with k = len(a) - len(b) + 1.  The multiplier is
+positive, so every sign is kept, and it is 1 when b is monic, so
+reduction modulo a characteristic polynomial, and division by
+1 + t + ... + t^(n-1), is exact.
 
 Root counting is fraction-free.  A Sturm chain starts from p times the
 positive lcm of its denominators and from its derivative, or from a given
@@ -159,18 +162,6 @@ class LaurentPoly:
         return LaurentPoly(0, (1,))
 
     @staticmethod
-    def monomial(exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return LaurentPoly(exponent, (coefficient,))
-
-    @staticmethod
-    def t() -> "LaurentPoly":
-        return LaurentPoly(1, (1,))
-
-    @staticmethod
-    def constant(c: int) -> "LaurentPoly":
-        return LaurentPoly(0, (c,))
-
-    @staticmethod
     def from_packed(value: int, bits: int, offset: int = 0) -> "LaurentPoly":
         """The polynomial p with t**-offset * p equal to value at t = 2**bits.
 
@@ -183,89 +174,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Highest exponent; -1 is reported for the zero polynomial."""
-        if not self.coeffs:
-            return -1
-        return self.offset + len(self.coeffs) - 1
-
-    @property
-    def low_degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return self.offset
-
-    def coefficient(self, exponent: int) -> int:
-        i = exponent - self.offset
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
-        out = [0] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.offset - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.offset - lo + i] += c
-        return LaurentPoly(lo, tuple(out))
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.offset, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self.coeffs or not other.coeffs:
-            return LaurentPoly.zero()
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return LaurentPoly(self.offset + other.offset, tuple(out))
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of a general Laurent polynomial")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by t**k."""
-        if not self.coeffs:
-            return self
-        return LaurentPoly(self.offset + k, self.coeffs)
-
-    # -- evaluation -------------------------------------------------------
-
-    def eval(self, value):
-        """Evaluate at an int, Fraction, float or complex value."""
-        if not self.coeffs:
-            return 0 * value if not isinstance(value, int) else 0
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        if self.offset:
-            acc = acc * value**self.offset
-        return acc
 
     def eval_int(self, value: int) -> int:
         acc = 0
@@ -293,47 +201,10 @@ class LaurentPoly:
     def equals_up_to_units(self, other: "LaurentPoly") -> bool:
         return self.unit_normalized() == other.unit_normalized()
 
-    def is_palindromic(self) -> bool:
-        """True when t**d * p(1/t) == p(t) up to the monomial shift."""
-        return self.coeffs == tuple(reversed(self.coeffs))
-
-    def reciprocal(self) -> "LaurentPoly":
-        """p(1/t), as a Laurent polynomial."""
-        if not self.coeffs:
-            return self
-        return LaurentPoly(-(self.offset + len(self.coeffs) - 1), tuple(reversed(self.coeffs)))
-
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
         return f"{self.offset}|" + " ".join(str(c) for c in self.coeffs)
-
-    @staticmethod
-    def from_text(text: str) -> "LaurentPoly":
-        head, _, tail = text.partition("|")
-        coeffs = tuple(int(tok) for tok in tail.split())
-        return LaurentPoly(int(head), coeffs)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            e = self.offset + i
-            if e == 0:
-                parts.append(f"{c:+d}")
-            elif e == 1:
-                parts.append(f"{c:+d}*t")
-            else:
-                parts.append(f"{c:+d}*t^{e}")
-        return " ".join(parts)
-
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
-T = LaurentPoly.t()
 
 
 def _pack(coeffs, bits: int) -> int:
@@ -552,6 +423,18 @@ def charpoly(matrix) -> LaurentPoly:
 # -- integer polynomials -----------------------------------------------
 # dense ascending integer coefficient lists: the coefficient of t^k at
 # position k
+
+
+def _mul(a, b) -> list[int]:
+    """Product of a and b; empty (zero) when either is.  Not trimmed."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _divide(a, b) -> tuple[list[int], list[int]]:

@@ -9,9 +9,11 @@ so the verdict reduces to comparing |trace| with 2.
 
 The trace of any twist word is a polynomial tr in mu with integer
 coefficients: conjugating by diag(1, s) takes both multitwists into
-SL(2, Z[mu]) and keeps every trace (`trace_polynomial`).  The verdict is
-the exact sign of tr^2 - 4 at mu, one Sturm count (`_sign_at_mu`).  With
-p the characteristic polynomial of N N^T, the chain of p and (p' q) mod p
+SL(2, Z[mu]) and keeps every trace (`trace_polynomial`).  Polynomials
+here are dense ascending int tuples, multiplied and reduced by
+`laurent._mul` and `_divide`.  With p the characteristic polynomial of
+N N^T and r = tr mod p, the verdict is the exact sign of r^2 - 4 at mu,
+one Sturm count (`_sign_at_mu`): the chain of p and (p' q) mod p
 counts the roots x of p in (lo, b], each once with the sign of q(x), when
 neither end is a root of p (Sylvester; see `laurent`).  lo is the lower
 end of the enclosure of mu, the largest root, and b the Cauchy bound
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import LaurentPoly, _divide, charpoly, count_roots_in, sturm_chain
+from .laurent import _divide, _mul, charpoly, count_roots_in, sturm_chain
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -124,11 +126,6 @@ class MuCertificate:
     hi: Fraction
 
 
-def _dense(poly: LaurentPoly) -> tuple[int, ...]:
-    """Dense ascending coefficients of a polynomial with no negative exponents."""
-    return (0,) * poly.offset + poly.coeffs
-
-
 def _enclose(poly: tuple[int, ...], hi: Fraction) -> tuple[Fraction, Fraction]:
     """(lo, hi] around the largest root of poly in (0, hi], halved until it
     isolates that root, is at most MU_TOLERANCE wide and lo is not a root:
@@ -150,7 +147,8 @@ def mu_certificate(pair: MulticurvePair) -> MuCertificate:
     if all(x == 0 for row in pair.matrix for x in row):
         raise ValueError("zero intersection matrix has no top eigenvalue")
     gram = _gram(pair)
-    poly = _dense(charpoly(gram))
+    p = charpoly(gram)
+    poly = (0,) * p.offset + p.coeffs  # dense: the offset is the zero root's order
     # no eigenvalue exceeds the largest absolute row sum of the Gram matrix
     lo, hi = _enclose(poly, Fraction(max(sum(map(abs, r)) for r in gram) + 1))
     return MuCertificate(poly, lo, hi)
@@ -193,43 +191,56 @@ def parse_twist_word(text: str) -> TwistWord:
     return tuple(out)
 
 
-def trace_polynomial(word: TwistWord) -> LaurentPoly:
+def trace_polynomial(word: TwistWord) -> tuple[int, ...]:
     """Trace of the represented word as an integer polynomial in mu.
 
     Conjugating by D = diag(1, s) sends A^e = [[1, -e s], [0, 1]] to
     [[1, -e], [0, 1]] and B^e = [[1, 0], [e s, 1]] to [[1, 0], [e mu, 1]].
     Trace is invariant under conjugation, so the word is carried in
-    SL(2, Z[mu]) as [[a, b], [c, d]]: each letter multiplies from the
-    left and changes one row.
+    SL(2, Z[mu]) as [[a, b], [c, d]], four dense ascending int lists of
+    one length: each letter multiplies from the left and changes one row.
+    An A letter subtracts e times the second row from the first; a B letter
+    pads every entry with a zero on top and adds e times the first row,
+    shifted up one degree, to the second.  The result is dense and
+    ascending, with no trailing zeros.
+
+    The entries are not reduced modulo the characteristic polynomial of a
+    pair: `classify` reads its float trace off this full polynomial, and a
+    reduced one takes a different float at the enclosure's midpoint (at
+    genus 1, 2 + mu reduces to 3 where the midpoint gives 2.99999...).
     """
     if not word:
         raise ValueError("empty twist word has no classification")
-    one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    a, b, c, d = one, zero, zero, one
+    a, b, c, d = [1], [0], [0], [1]
     for symbol, exponent in word:
         if exponent not in (1, -1):
             raise ValueError(f"twist exponent {exponent!r} is not 1 or -1")
         if symbol == "A":
-            step = LaurentPoly.constant(exponent)
-            a, b = a - step * c, b - step * d
+            a = [x - exponent * y for x, y in zip(a, c)]
+            b = [x - exponent * y for x, y in zip(b, d)]
         elif symbol == "B":
-            step = LaurentPoly.monomial(1, exponent)
-            c, d = c + step * a, d + step * b
+            c = [x + exponent * y for x, y in zip(c + [0], [0] + a)]
+            d = [x + exponent * y for x, y in zip(d + [0], [0] + b)]
+            a.append(0)
+            b.append(0)
         else:
             raise ValueError(f"unknown twist symbol {symbol!r}")
-    return a + d
+    trace = [x + y for x, y in zip(a, d)]
+    while trace and not trace[-1]:
+        trace.pop()
+    return tuple(trace)
 
 
-def _sign_at_mu(q: LaurentPoly, cert: MuCertificate) -> int:
-    """Sign of q(mu), exactly: -1, 0 or 1, for q with no negative exponent.
+def _sign_at_mu(q, cert: MuCertificate) -> int:
+    """Sign of q(mu), exactly: -1, 0 or 1, for dense ascending int q.
 
     The Sylvester count of the charpoly p and (p' q) mod p over
     (lo, 1 + max |p_i|], which holds mu and no other root of p and has
     neither end on one (see the module notes).
     """
     p = cert.poly
-    dp = LaurentPoly(0, [i * c for i, c in enumerate(p)][1:])
-    s = _divide(_dense(dp * q), p)[1]
+    dp = [i * c for i, c in enumerate(p)][1:]
+    s = _divide(_mul(dp, q), p)[1]
     return count_roots_in(sturm_chain(p, s), cert.lo, Fraction(1 + max(map(abs, p))))
 
 
@@ -251,9 +262,12 @@ def classify(word: TwistWord, pair: MulticurvePair) -> Classification:
     """
     tr = trace_polynomial(word)
     cert = mu_certificate(pair)
-    r = LaurentPoly(0, _divide(_dense(tr), cert.poly)[1])  # r(mu) = tr(mu)
-    sign = _sign_at_mu(r * r - LaurentPoly.constant(4), cert)
-    trace = float(tr.eval((cert.lo + cert.hi) / 2))
+    r = _divide(tr, cert.poly)[1]  # r(mu) = tr(mu)
+    square = _mul(r, r)
+    square[0] -= 4
+    sign = _sign_at_mu(square, cert)
+    mid = (cert.lo + cert.hi) / 2  # tr, not r: r takes another float there
+    trace = float(sum(c * mid**i for i, c in enumerate(tr)))
     if sign > 0:
         mag = abs(trace)
         # the kind is exact; the float can round to |trace| <= 2 next to it

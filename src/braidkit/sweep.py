@@ -80,6 +80,11 @@ class SweepConfig:
             raise ConfigError("genus range must be nonempty and positive")
         if not self.power or any(n < 0 for n in self.power):
             raise ConfigError("power range must be nonempty and nonnegative")
+        for name in ("variants", "checks"):
+            names = getattr(self, name)
+            if isinstance(names, str):
+                raise ConfigError(f"{name}: give a sequence of names, not the string {names!r}")
+            object.__setattr__(self, name, tuple(names))
         if not self.variants:
             raise ConfigError("variant set must be nonempty")
         for v in self.variants:

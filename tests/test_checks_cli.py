@@ -26,7 +26,6 @@ from braidkit.braid import FamilyError
 from braidkit.coverlift import ConventionError
 from braidkit.destab import MoveError
 from braidkit.cli import main
-from braidkit.laurent import LaurentPoly
 from braidkit.report import (
     CONVENTION_FINGERPRINT,
     ReportFormatError,
@@ -306,7 +305,7 @@ def test_emit_csv_polynomials_round_trip():
     header = lines[0].split(",")
     row = next(csv_row for csv_row in _csv_rows(buf.getvalue()))
     cell = row[header.index("alexander_fibred")]
-    assert LaurentPoly.from_text(cell) == LaurentPoly.from_text("0|1 -7 13 -7 1")
+    assert cell == "0|1 -7 13 -7 1"
 
 
 def _csv_rows(text):
@@ -424,6 +423,23 @@ def test_sweep_config_takes_integers_only(fields):
     # a float genus used to pass the config and abort run_sweep with a TypeError
     with pytest.raises(ConfigError, match="must be integers"):
         SweepConfig(**fields)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("variants", "original"), ("checks", "pa"), ("variants", ["original", "enhanced"])],
+)
+def test_sweep_config_name_fields_take_sequences_of_names(field, value):
+    # a string was read letter by letter ("unknown variant 'o'"), and a list
+    # passed but left the frozen config unhashable
+    fields = {"genus": (2,), "power": (0,), field: value}
+    if isinstance(value, str):
+        with pytest.raises(ConfigError, match=f"^{field}: .*{value!r}"):
+            SweepConfig(**fields)
+    else:
+        cfg = SweepConfig(**fields)
+        assert getattr(cfg, field) == tuple(value)
+        assert hash(cfg) == hash(SweepConfig(**{**fields, field: tuple(value)}))
 
 
 def test_sweep_cardinality():

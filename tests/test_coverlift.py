@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polyref as ref
 from braidkit import laurent
 from braidkit.braid import BraidWord, FamilySpec, family_braid
 from braidkit.coverlift import (
@@ -15,17 +16,19 @@ from braidkit.coverlift import (
     growth_sequence,
     intersection_form,
     is_cyclic,
-    is_symplectic,
     lift_homological,
     mat_identity,
     mat_max_abs,
     mat_mul,
-    mat_transpose,
     seifert_from_monodromy,
     transvection,
 )
 from braidkit.invariants import alexander_from_seifert
 from braidkit.laurent import LaurentPoly
+
+
+def _transpose(a):
+    return tuple(zip(*a))
 
 
 def small_words(genus=2, max_len=8):
@@ -90,7 +93,7 @@ def test_lift_equals_transvection_product(case):
 def test_transvections_are_symplectic():
     for i in range(1, 7):
         for sign in (1, -1):
-            assert is_symplectic(transvection(6, i, sign))
+            assert ref.is_symplectic(transvection(6, i, sign))
 
 
 def test_lift_respects_braid_relations():
@@ -119,7 +122,7 @@ def test_lift_strand_mismatch():
 @given(small_words())
 def test_lifts_are_symplectic(w):
     m = lift_homological(w)
-    assert is_symplectic(m)
+    assert ref.is_symplectic(m)
     inv = lift_homological(w.inverse())
     assert mat_mul(inv, m) == mat_identity(4)
 
@@ -154,8 +157,8 @@ def test_enhanced_stirring_word_lifts_trivially():
 def test_fibred_degree_is_twice_genus():
     for g in (1, 2, 3, 4):
         poly = fibred_alexander(FamilySpec(g, 1))
-        assert poly.degree == 2 * g
-        assert poly.is_palindromic()
+        assert poly.offset == 0 and len(poly.coeffs) == 2 * g + 1
+        assert poly.coeffs == poly.coeffs[::-1]
 
 
 # -- branched covers -----------------------------------------------------
@@ -208,7 +211,7 @@ def test_seifert_solve_identities():
             for i in range(2 * g)
             for k in range(2 * g)
         )
-        assert mat_mul(v, m) == mat_transpose(v)
+        assert mat_mul(v, m) == _transpose(v)
 
 
 def test_seifert_solve_round_trips_charpoly():
@@ -305,7 +308,7 @@ def test_seifert_solve_matches_the_rational_oracle(case):
         return
     v = seifert_from_monodromy(m)
     assert v == tuple(tuple(int(x) for x in row) for row in expected)
-    vt = mat_transpose(v)
+    vt = _transpose(v)
     assert all(
         v[r][c] - vt[r][c] == -j[r][c] for r in range(k) for c in range(k)
     )
@@ -336,7 +339,7 @@ def test_seifert_solve_is_exact_with_deferred_row_scaling(case):
         assert any(x.denominator != 1 for row in expected for x in row)
         return
     assert mat_mul(v, i_minus_m) == minus_j
-    vt = mat_transpose(v)
+    vt = _transpose(v)
     assert all(
         v[r][c] - vt[r][c] == -j[r][c] for r in range(k) for c in range(k)
     )
@@ -350,7 +353,7 @@ def _assert_seifert_identities(v, m):
         tuple(int(r == c) - m[r][c] for c in range(k)) for r in range(k)
     )
     assert mat_mul(v, i_minus_m) == tuple(tuple(-x for x in row) for row in j)
-    vt = mat_transpose(v)
+    vt = _transpose(v)
     assert all(
         v[r][c] - vt[r][c] == -j[r][c] for r in range(k) for c in range(k)
     )

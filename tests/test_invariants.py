@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import polyref as ref
 from braidkit import invariants, laurent
 from braidkit.braid import BraidWord, closure_components, exponent_sum, family_braid
 from braidkit.coverlift import lift_homological, seifert_from_monodromy
@@ -20,11 +21,7 @@ from braidkit.invariants import (
     alexander_from_burau,
     alexander_from_seifert,
     brick_seifert,
-    determinant_from_word,
-    genus_bound_from_alexander,
     knot_determinant,
-    laurent_identity,
-    laurent_mat_mul,
     reduced_burau,
     signature_function,
 )
@@ -67,34 +64,34 @@ def homogeneous_knot_words(max_strands=4, max_len=10):
 
 def _apply_letter(m, letter):
     """Right-multiply m in place by the reduced Burau matrix of one letter."""
-    t = LaurentPoly.t()
-    tinv = LaurentPoly.monomial(-1)
+    t, tinv = {1: 1}, {-1: 1}
     size = len(m)
     c = abs(letter) - 1
     for row in m:
+        left = row[c - 1] if c > 0 else {}
+        right = row[c + 1] if c + 1 < size else {}
         if letter > 0:
-            new = -(t * row[c])
-            if c > 0:
-                new = new + t * row[c - 1]
-            if c + 1 < size:
-                new = new + row[c + 1]
+            row[c] = ref.add(ref.neg(ref.mul(t, row[c])), ref.mul(t, left), right)
         else:
-            new = -(tinv * row[c])
-            if c > 0:
-                new = new + row[c - 1]
-            if c + 1 < size:
-                new = new + tinv * row[c + 1]
-        row[c] = new
+            row[c] = ref.add(ref.neg(ref.mul(tinv, row[c])), left, ref.mul(tinv, right))
+
+
+def _laurent_matrix(m):
+    return [[LaurentPoly(*ref.dense(p)) for p in row] for row in m]
+
+
+def _ref_matrix(m):
+    return [[ref.poly(p.offset, p.coeffs) for p in row] for row in m]
 
 
 def burau_oracle(word):
-    """Reduced Burau matrix by LaurentPoly column updates: the reference."""
+    """Reduced Burau matrix by reference column updates: the reference."""
     if word.strands < 2:
         return []
-    m = laurent_identity(word.strands - 1)
+    m = ref.identity(word.strands - 1)
     for x in word.letters:
         _apply_letter(m, x)
-    return m
+    return _laurent_matrix(m)
 
 
 @st.composite
@@ -197,7 +194,13 @@ def test_example_sweep_burau_determinants_pick_their_slots():
 
 
 def _minus(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    """a - b for two LaurentPoly matrices, by the reference arithmetic."""
+    a, b = _ref_matrix(a), _ref_matrix(b)
+    return _laurent_matrix([[ref.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+
+
+def _identity(size):
+    return _laurent_matrix(ref.identity(size))
 
 
 @settings(max_examples=80, deadline=None)
@@ -209,13 +212,14 @@ def test_determinant_from_the_two_half_words(drawn):
     # rho(w) - I = rho(w1) (rho(w2) - rho(w1^-1)) and det rho(w1) = (-t)**e(w1)
     w, drawn_split = drawn
     n = w.strands
-    whole = det_laurent(_minus(reduced_burau(w), laurent_identity(n - 1)))
+    whole = det_laurent(_minus(reduced_burau(w), _identity(n - 1)))
     for h in {0, len(w.letters) // 2, len(w.letters), drawn_split}:
         w1 = BraidWord(n, w.letters[:h])
         w2 = BraidWord(n, w.letters[h:])
         halves = det_laurent(_minus(reduced_burau(w2), reduced_burau(w1.inverse())))
-        unit = LaurentPoly.monomial(exponent_sum(w1), (-1) ** h)
-        assert whole == unit * halves, (w, h)
+        unit = {exponent_sum(w1): (-1) ** h}
+        expected = ref.mul(unit, ref.poly(halves.offset, halves.coeffs))
+        assert ref.poly(whole.offset, whole.coeffs) == expected, (w, h)
 
 
 def _knot(w):
@@ -231,7 +235,7 @@ def _knot(w):
 def _alexander_from_the_whole_word(word):
     """The formula before the split: det(rho(w) - I) / (1 + ... + t^(n-1))."""
     n = word.strands
-    det = det_laurent(_minus(reduced_burau(word), laurent_identity(n - 1)))
+    det = det_laurent(_minus(reduced_burau(word), _identity(n - 1)))
     quotient, remainder = _divide(list(det.coeffs), [1] * n)
     assert not any(remainder)
     return LaurentPoly(0, tuple(quotient)).unit_normalized()
@@ -260,11 +264,9 @@ def test_alexander_from_the_half_words_matches_the_whole_word(w):
 
 
 def test_reduced_burau_b2():
-    assert reduced_burau(BraidWord(2, (1,))) == [[LaurentPoly.monomial(1, -1)]]
-    assert reduced_burau(BraidWord(2, (-1,))) == [
-        [LaurentPoly.monomial(-1, -1)]
-    ]
-    assert reduced_burau(BraidWord(2, ())) == laurent_identity(1)
+    assert reduced_burau(BraidWord(2, (1,))) == [[LaurentPoly(1, (-1,))]]
+    assert reduced_burau(BraidWord(2, (-1,))) == [[LaurentPoly(-1, (-1,))]]
+    assert reduced_burau(BraidWord(2, ())) == [[LaurentPoly.one()]]
 
 
 def test_reduced_burau_respects_relations():
@@ -285,8 +287,8 @@ def test_reduced_burau_respects_relations():
 )
 def test_reduced_burau_is_a_homomorphism(letters):
     w = BraidWord(4, tuple(letters))
-    product = laurent_mat_mul(reduced_burau(w), reduced_burau(w.inverse()))
-    assert product == laurent_identity(3)
+    burau, inverse = _ref_matrix(reduced_burau(w)), _ref_matrix(reduced_burau(w.inverse()))
+    assert ref.mat_mul(burau, inverse) == ref.identity(3)
 
 
 def test_alexander_known_knots():
@@ -485,21 +487,10 @@ def test_signature_margin_guard():
 
 
 def test_determinants():
-    assert determinant_from_word(TREFOIL) == 3
-    assert determinant_from_word(FIG8) == 5
-    assert determinant_from_word(SIX_TWO) == 11
-    assert determinant_from_word(SIX_THREE) == 13
-    assert determinant_from_word(BraidWord(2, (1,))) == 1
+    for word, det in ((TREFOIL, 3), (FIG8, 5), (SIX_TWO, 11), (SIX_THREE, 13)):
+        assert knot_determinant(alexander_from_burau(word)) == det
+    assert knot_determinant(alexander_from_burau(BraidWord(2, (1,)))) == 1
     assert knot_determinant(LaurentPoly.one()) == 1
-
-
-def test_genus_bound():
-    assert genus_bound_from_alexander(alexander_from_burau(TREFOIL)) == 1
-    assert genus_bound_from_alexander(alexander_from_burau(FIG8)) == 1
-    assert (
-        genus_bound_from_alexander(alexander_from_burau(BraidWord(2, (1,) * 5)))
-        == 2
-    )
 
 
 def _crosscheck_script():
