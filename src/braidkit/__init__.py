@@ -36,7 +36,7 @@ from .garside import (
     periodic_identity_check,
     words_equal,
 )
-from .laurent import LaurentPoly, charpoly, det_laurent
+from .laurent import charpoly, det_laurent
 from .invariants import (
     SignatureMarginError,
     alexander_from_burau,

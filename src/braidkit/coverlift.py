@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .braid import BraidWord, VARIANTS, FamilySpec, build_family, family_braid
-from .laurent import LaurentPoly, charpoly, det_pencil
+from .laurent import charpoly, det_pencil, normalized
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -112,11 +112,11 @@ def lift_homological(word: BraidWord) -> IntMatrix:
     return tuple(tuple(row) for row in rows)
 
 
-def charpoly_int(matrix: IntMatrix) -> LaurentPoly:
+def charpoly_int(matrix: IntMatrix) -> tuple[int, ...]:
     return charpoly(matrix)
 
 
-def fibred_alexander(spec: FamilySpec) -> LaurentPoly:
+def fibred_alexander(spec: FamilySpec) -> tuple[int, ...]:
     """Normalized characteristic polynomial of the lifted family word.
 
     For a fibred link the Alexander polynomial is the characteristic
@@ -124,7 +124,7 @@ def fibred_alexander(spec: FamilySpec) -> LaurentPoly:
     assumed, not re-derived here.
     """
     lift = lift_homological(build_family(spec).braid)
-    return charpoly_int(lift).unit_normalized()
+    return normalized(charpoly_int(lift))
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,7 @@ def is_cyclic(matrix: IntMatrix) -> bool:
         flat.append([x for row in power for x in row])
         power = mat_mul(power, matrix)
     gram = [[sum(x * y for x, y in zip(u, v)) for v in flat] for u in flat]
-    return not det_pencil(gram, [[0] * size for _ in range(size)]).is_zero()
+    return any(det_pencil(gram, [[0] * size for _ in range(size)]))
 
 
 def growth_sequence(

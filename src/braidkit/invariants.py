@@ -50,9 +50,15 @@ at most the sum of the two l1 norms, so that slot holds every coefficient
 of rho(w2) - rho(w1^-1) (63 bits at genus 2, power 6, enhanced, against
 119 for the whole word).  With N2 and N1 negative letters in the halves,
 each packed value is shifted up by B * (N - N_i), N = max(N1, N2), so both
-stand for t**N times their entries; the packed integers are subtracted,
-each entry is unpacked once, at offset -N, by `LaurentPoly.from_packed`,
-and the determinant is taken by `laurent.det_laurent`.
+stand for t**N times their entries, and the packed integers are
+subtracted.  Every difference is then divided by t**L, L the least index
+of a nonzero slot among them (a packed value's 2-adic valuation over B),
+so that no entry, and no determinant, carries zeros that every entry
+shares.  Each entry is unpacked once, by `laurent._unpack`, into the
+dense coefficients of t**(N - L) times it, and `laurent.det_laurent` takes
+the determinant; the power of t it gains is a unit, which the
+normalization drops before the quotient.  `reduced_burau` returns N and
+the unpacked rows of t**N times rho(w).
 
 Pipeline two: the Bennequin surface.  A braid word with sign-pure columns
 (every occurrence of an index has one sign) bounds a surface made of n
@@ -90,15 +96,14 @@ from operator import mul
 
 from .braid import BraidWord, closure_components
 from .laurent import (
-    LaurentPoly,
     _divide,
+    _unpack,
     det_laurent,
     det_pencil,
+    normalized,
     packed_l1,
     slot_bits,
 )
-
-LaurentMatrix = list[list[LaurentPoly]]
 
 
 # words longer than four chunks of this many letters bound their Burau
@@ -152,8 +157,10 @@ def _packed_burau(n: int, letters, bits: int = 0) -> tuple[list[list[int]], int,
     return m, bits, neg
 
 
-def reduced_burau(word: BraidWord) -> LaurentMatrix:
-    """Reduced Burau matrix of a braid word; left-to-right homomorphism.
+def reduced_burau(word: BraidWord) -> tuple[int, list[list[tuple[int, ...]]]]:
+    """(neg, rows): t**neg times the reduced Burau matrix of a braid word,
+    each entry dense from t**0, with neg its number of negative letters;
+    a left-to-right homomorphism.
 
     On two strands sigma_1 maps to the 1 x 1 matrix (-t).  The product is
     evaluated at t = 2**B, with B from the t = 1 absolute-value recursion
@@ -162,26 +169,26 @@ def reduced_burau(word: BraidWord) -> LaurentMatrix:
     """
     n = word.strands
     if n < 2:
-        return []
+        return 0, []
     m, bits, neg = _packed_burau(n, word.letters)
-    return [[LaurentPoly.from_packed(v, bits, -neg) for v in row[1:n]] for row in m]
+    return neg, [[tuple(_unpack(v, bits)) for v in row[1:n]] for row in m]
 
 
-def alexander_from_burau(word: BraidWord) -> LaurentPoly:
+def alexander_from_burau(word: BraidWord) -> tuple[int, ...]:
     """Alexander polynomial of the knot closure, normalized so the lowest
     exponent is 0 and the constant term is positive.
 
     The word is split at its middle, w = w1 w2 with |w1| = floor(|w| / 2),
     and det(rho(w2) - rho(w1^-1)) is taken in place of det(rho(w) - I):
     the two differ by the unit (-1)**|w1| * t**e(w1), which
-    `unit_normalized` drops.  Both half products share one slot; see the
+    `normalized` drops.  Both half products share one slot; see the
     module notes.
     """
     if closure_components(word) != 1:
         raise ValueError("Alexander pipeline needs a knot closure")
     n = word.strands
     if n < 2:
-        return LaurentPoly.one()
+        return (1,)
     h = len(word.letters) // 2
     second = word.letters[h:]
     first_inverse = tuple(-x for x in reversed(word.letters[:h]))
@@ -193,18 +200,19 @@ def alexander_from_burau(word: BraidWord) -> LaurentPoly:
     neg = max(neg_a, neg_b)
     shift_a = bits * (neg - neg_a)
     shift_b = bits * (neg - neg_b)
-    m = [
-        [
-            LaurentPoly.from_packed((x << shift_a) - (y << shift_b), bits, -neg)
-            for x, y in zip(row_a[1:n], row_b[1:n])
-        ]
+    diff = [
+        [(x << shift_a) - (y << shift_b) for x, y in zip(row_a[1:n], row_b[1:n])]
         for row_a, row_b in zip(a, b)
     ]
+    # a packed value's lowest nonzero slot is its 2-adic valuation // bits;
+    # t**low divides every entry, a unit, so it is shifted out
+    low = min((((v & -v).bit_length() - 1) // bits for row in diff for v in row if v), default=0)
+    m = [[_unpack(v >> (low * bits), bits) for v in row] for row in diff]
     # divided by the monic 1 + t + ... + t^(n-1), so the division is exact
-    quotient, remainder = _divide(list(det_laurent(m).coeffs), [1] * n)
+    quotient, remainder = _divide(normalized(det_laurent(m)), [1] * n)
     if any(remainder):
         raise ValueError("Burau determinant not divisible by 1 + t + ... + t^(n-1)")
-    return LaurentPoly(0, tuple(quotient)).unit_normalized()
+    return normalized(quotient)
 
 
 # -- Bennequin surface ---------------------------------------------------
@@ -265,13 +273,13 @@ def brick_seifert(word: BraidWord) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in mat)
 
 
-def alexander_from_seifert(s) -> LaurentPoly:
+def alexander_from_seifert(s) -> tuple[int, ...]:
     """det(S - t S^T), normalized; the empty matrix gives 1.
 
     `det_pencil` refuses a non-square S.
     """
     minus_transpose = [[-x for x in column] for column in zip(*s)]
-    return det_pencil(s, minus_transpose).unit_normalized()
+    return normalized(det_pencil(s, minus_transpose))
 
 
 class SignatureMarginError(ValueError):
@@ -306,10 +314,10 @@ def signature_function(s, omega=-1) -> int:
     swap = [[-int(j == (i + m) % (2 * m)) for j in range(2 * m)] for i in range(2 * m)]
     # det(P M - t P) = (-1)^m det(t I - M) for the block swap P
     p = det_pencil(bottom + top, swap)
-    if p.offset:  # a zero constant term is trimmed into the offset
+    if not p[0]:
         raise SignatureMarginError("omega is a root of the Alexander polynomial")
     # the 2m roots are real and nonzero, so (positive - negative) / 2 = positive - m
-    return _descartes(p.coeffs) - m
+    return _descartes(p) - m
 
 
 def _descartes(coeffs: list[int]) -> int:
@@ -318,7 +326,7 @@ def _descartes(coeffs: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def knot_determinant(alex: LaurentPoly) -> int:
-    """|Delta(-1)|."""
-    return abs(alex.eval_int(-1))
+def knot_determinant(alex) -> int:
+    """|Delta(-1)|, the alternating sum of the coefficients."""
+    return abs(sum(alex[::2]) - sum(alex[1::2]))
 

@@ -1,25 +1,26 @@
-"""Exact integer Laurent polynomials: the value type and its determinants.
+"""Exact integer polynomials: their one form, determinants and root counts.
 
-`LaurentPoly` is a value: an offset (the lowest exponent) and a dense tuple
-of integer coefficients, trimmed at both ends.  Determinants return it and
-reports print it (`to_text`); it compares up to units and evaluates at an
-integer, and carries no arithmetic.  Polynomial arithmetic is done on dense
-ascending int sequences (see the integer polynomials below).  Nothing here
-ever touches floating point.
+A polynomial is a dense ascending tuple of ints from t**0, the coefficient
+of t**k at position k, and () is zero.  Determinants return one with its
+low zeros kept and no top zeros.  `normalized` takes it up to a unit
+(zeros stripped at both ends, the constant term positive), which is how
+Alexander polynomials are compared, and `to_text` prints it for reports.
+A Laurent polynomial, such as a Burau entry, is carried as t**N times it
+for a known N.  Nothing here ever touches floating point.
 
 Determinants use Kronecker substitution: every entry is evaluated at t = 2**B,
 the resulting integer matrix is eliminated fraction-free (Bareiss), and the
 determinant polynomial is read back off the final integer in balanced
 base-2**B digits.  This keeps the hot loop inside CPython's big-integer
 multiply instead of per-coefficient Python.  `det_laurent` does this for a
-matrix of Laurent polynomials (the Burau path); `det_pencil(A, B)` packs
+matrix of polynomials (the Burau path); `det_pencil(A, B)` packs
 the integer pencil A + t*B as A_ij + (B_ij << B) with no polynomial
 objects, for `charpoly` (det(t*I - M)) and the Seifert determinant
 det(S - t*S^T).  Both use the one elimination and the one slot rule below.
 
 The elimination, `_bareiss_det`, stores every entry as an odd mantissa m
 and an exponent e >= 0, the value m * 2**e (zero is 0 with e = 0).  An
-entry t**k * p of a Laurent matrix packs to 2**(k*B) times the packed p,
+entry t**k * p, k low zeros, packs to 2**(k*B) times the packed p,
 and every k x k Bareiss minor of aligned entries carries such a factor, so
 the powers of two that aligning creates stay in the exponents and out of
 the big-integer operands.  A product adds exponents; a difference shifts
@@ -82,8 +83,8 @@ enhanced, powers 6 to 10 of the example sweep, the acceptance grid and
 
 The packing lives here alone.  `slot_bits(bound)` is the slot width whose
 balanced digits, in [-2**(B-1), 2**(B-1)), hold every integer of size at
-most bound; `LaurentPoly.from_packed(value, bits, offset)` reads a packed
-value back, which is how the Burau product of `invariants` is unpacked.
+most bound; `_unpack(value, bits)` reads a packed value back as dense
+coefficients, which is how the Burau product of `invariants` is unpacked.
 `_pack` and `_unpack` split in halves.  Packing adds the low half to the
 high half shifted by h*B.  Unpacking first adds 2**(B-1) to every slot,
 which makes every digit nonnegative, so the value splits with masks and
@@ -91,21 +92,21 @@ shifts, and then takes 2**(B-1) off each digit.  Both halves recurse, so k
 digits cost O(k B log k) bit operations rather than the O(k**2 B) of one
 digit at a time.
 
-It also holds the one integer polynomial arithmetic of the product, on
-dense ascending int sequences (the coefficient of t^k at position k): that
-of root counting, of the trace polynomials and mu tests of `pacert` and of
-the Burau quotient of `invariants`.  `_mul(a, b)` is the product.
+It also holds the one polynomial arithmetic of the product, on dense
+ascending int sequences, tuples or lists: that of root counting, of the
+trace polynomials and mu tests of `pacert` and of the Burau quotient of
+`invariants`.  `_mul(a, b)` is the product.
 `_divide(a, b)` is pseudo-division: the quotient and remainder of
 |lc(b)|**k * a by b, with k = len(a) - len(b) + 1.  The multiplier is
 positive, so every sign is kept, and it is 1 when b is monic, so
 reduction modulo a characteristic polynomial, and division by
 1 + t + ... + t^(n-1), is exact.
 
-Root counting is fraction-free.  A Sturm chain starts from p times the
-positive lcm of its denominators and from its derivative, or from a given
-second row q; each next row is minus the pseudo-remainder of the two before
-it over its content, so row i is a positive multiple of the rational
-chain's row i and keeps every sign (Collins, JACM 1967).  The rows are then
+Root counting is fraction-free.  A Sturm chain starts from p over its
+content and from its derivative, or from a given second row q; each next
+row is minus the pseudo-remainder of the two before it over its content,
+so row i is a positive multiple of the rational chain's row i and keeps
+every sign (Collins, JACM 1967).  The rows are then
 divided exactly by the last one, gcd(p, p') or gcd(p, q), which changes no
 count between points that are not roots of p.  Between two such points
 the count from p and q is the Cauchy index of q / p; with q = p' * r, or
@@ -119,92 +120,27 @@ prebuilt `SturmChain` to `count_roots_in`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import index
 
 
-def _trim(offset: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    lo = 0
-    hi = len(coeffs)
-    while hi > lo and coeffs[hi - 1] == 0:
+def normalized(coeffs) -> tuple[int, ...]:
+    """coeffs up to a unit: zeros stripped at both ends, the constant term
+    positive; () for the zero polynomial."""
+    lo, hi = 0, len(coeffs)
+    while hi and not coeffs[hi - 1]:
         hi -= 1
-    while lo < hi and coeffs[lo] == 0:
+    while lo < hi and not coeffs[lo]:
         lo += 1
-    if lo == hi:
-        return 0, ()
-    return offset + lo, coeffs[lo:hi]
+    sign = 1 if lo == hi or coeffs[lo] > 0 else -1
+    return tuple(sign * c for c in coeffs[lo:hi])
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Integer Laurent polynomial sum(coeffs[i] * t**(offset + i)).
-
-    The constructor takes any sequence of integers and stores it trimmed,
-    as a tuple; a non-integer offset or coefficient raises TypeError.
-    """
-
-    offset: int = 0
-    coeffs: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        off, cs = _trim(index(self.offset), tuple(map(index, self.coeffs)))
-        object.__setattr__(self, "offset", off)
-        object.__setattr__(self, "coeffs", cs)
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly(0, ())
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly(0, (1,))
-
-    @staticmethod
-    def from_packed(value: int, bits: int, offset: int = 0) -> "LaurentPoly":
-        """The polynomial p with t**-offset * p equal to value at t = 2**bits.
-
-        Its coefficients must be balanced base-2**bits digits, which holds
-        when bits = slot_bits(bound) and bound caps their absolute values.
-        """
-        return LaurentPoly(offset, _unpack(value, bits))
-
-    # -- basic queries ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def eval_int(self, value: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        if self.offset == 0 or not self.coeffs:
-            return acc
-        if self.offset > 0:
-            return acc * value**self.offset
-        if value == 1:
-            return acc
-        if value == -1:
-            return acc if self.offset % 2 == 0 else -acc
-        raise ValueError("negative exponents need value in {1, -1} for an integer result")
-
-    # -- normal forms and comparisons ------------------------------------
-
-    def unit_normalized(self) -> "LaurentPoly":
-        """Multiply by +-t**k so the lowest exponent is 0 and the constant term positive."""
-        if not self.coeffs:
-            return LaurentPoly.zero()
-        sign = 1 if self.coeffs[0] > 0 else -1
-        return LaurentPoly(0, tuple(sign * c for c in self.coeffs))
-
-    def equals_up_to_units(self, other: "LaurentPoly") -> bool:
-        return self.unit_normalized() == other.unit_normalized()
-
-    # -- serialization ----------------------------------------------------
-
-    def to_text(self) -> str:
-        return f"{self.offset}|" + " ".join(str(c) for c in self.coeffs)
+def to_text(coeffs) -> str:
+    """The report text of a polynomial from t**0: its lowest exponent 0, a
+    bar, then the coefficients."""
+    return "0|" + " ".join(map(str, coeffs))
 
 
 def _pack(coeffs, bits: int) -> int:
@@ -260,7 +196,7 @@ def _split(value: int, bits: int, count: int, half: int) -> list[int]:
 
 
 def packed_l1(value: int, bits: int) -> int:
-    """l1 norm of the polynomial read off value by `from_packed(value, bits)`.
+    """l1 norm of the polynomial read off value by `_unpack(value, bits)`.
 
     Peels one balanced digit at a time, which suits the short values of a
     few digits it is used on.
@@ -372,36 +308,34 @@ def _bareiss_det(values: list[list[int]], exps: list[list[int]]) -> int:
     )
 
 
-def det_laurent(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant of a square matrix of Laurent polynomials."""
+def det_laurent(matrix) -> tuple[int, ...]:
+    """Exact determinant of a square matrix of integer polynomials.
+
+    Entries are dense ascending int sequences from t**0, and so is the
+    result, with its low zeros kept; a float or Fraction raises TypeError.
+    """
     n = len(matrix)
-    if n == 0:
-        return LaurentPoly.one()
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("determinant of a non-square matrix")
-    shift = min((p.offset for row in matrix for p in row if p.coeffs), default=0)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant of a non-square matrix")
+    matrix = [[tuple(map(index, p)) for p in row] for row in matrix]
     bits = _det_slot_bits(
-        sum(sum(map(abs, p.coeffs)) ** 2 for p in row) for row in matrix
+        sum(sum(map(abs, p)) ** 2 for p in row) for row in matrix
     )
-    # t**-shift * p at t = 2**bits is the packed p times 2**(bits*(offset - shift))
-    values = [[_pack(p.coeffs, bits) for p in row] for row in matrix]
-    exps = [[bits * (p.offset - shift) for p in row] for row in matrix]
-    return LaurentPoly(n * shift, _unpack(_bareiss_det(values, exps), bits))
+    values = [[_pack(p, bits) for p in row] for row in matrix]
+    exps = [[0] * n for _ in range(n)]
+    return tuple(_unpack(_bareiss_det(values, exps), bits))
 
 
-def det_pencil(a, b) -> LaurentPoly:
+def det_pencil(a, b) -> tuple[int, ...]:
     """Exact determinant det(A + t*B) of two square integer matrices.
 
     The same elimination and Hadamard slot rule as `det_laurent` on the
     pencil's entries A_ij + B_ij * t, whose l1 norms are |A_ij| + |B_ij|,
-    packed straight from the integers.
+    packed straight from the integers.  The result is dense from t**0.
     """
     n = len(a)
     if len(b) != n or any(len(row) != n for row in a) or any(len(row) != n for row in b):
         raise ValueError("determinant of a non-square pencil")
-    if n == 0:
-        return LaurentPoly.one()
     a = [[index(x) for x in row] for row in a]
     b = [[index(y) for y in row] for row in b]
     bits = _det_slot_bits(
@@ -409,10 +343,10 @@ def det_pencil(a, b) -> LaurentPoly:
     )
     values = [[x + (y << bits) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
     exps = [[0] * n for _ in range(n)]
-    return LaurentPoly(0, _unpack(_bareiss_det(values, exps), bits))
+    return tuple(_unpack(_bareiss_det(values, exps), bits))
 
 
-def charpoly(matrix) -> LaurentPoly:
+def charpoly(matrix) -> tuple[int, ...]:
     """Characteristic polynomial det(t*I - M) of an integer matrix, exactly."""
     n = len(matrix)
     minus = [[-index(x) for x in row] for row in matrix]
@@ -482,12 +416,11 @@ class SturmChain(list):
 
 
 def sturm_chain(p, q=None) -> SturmChain:
-    """Sturm chain of a polynomial with int or Fraction coefficients (dense,
-    ascending), squarefree or not, and a second row q with int coefficients,
-    p' by default (see the module notes for q = (p' r) mod p)."""
-    p = [Fraction(c) for c in p]
-    scale = lcm(*(c.denominator for c in p))
-    p0 = _primitive([int(c * scale) for c in p])
+    """Sturm chain of a polynomial with int coefficients (dense, ascending),
+    squarefree or not, and a second row q with int coefficients, p' by
+    default (see the module notes for q = (p' r) mod p).  A float or
+    Fraction coefficient of p raises TypeError."""
+    p0 = _primitive(list(map(index, p)))
     if not p0:
         return SturmChain()
     chain = [p0]
@@ -531,8 +464,9 @@ def _sign_changes(chain: SturmChain, x: Fraction) -> int:
 def count_roots_in(p, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi].
 
-    p is a polynomial (dense, ascending, int or Fraction coefficients) or
-    its `SturmChain`.  lo == hi is the empty interval; lo > hi is an error.
+    p is a polynomial (dense, ascending, int coefficients) or its
+    `SturmChain`; lo and hi are rationals.  lo == hi is the empty interval;
+    lo > hi is an error.
     """
     if lo > hi:
         raise ValueError(f"root counting on ({lo}, {hi}]: lo > hi")

@@ -147,8 +147,7 @@ def mu_certificate(pair: MulticurvePair) -> MuCertificate:
     if all(x == 0 for row in pair.matrix for x in row):
         raise ValueError("zero intersection matrix has no top eigenvalue")
     gram = _gram(pair)
-    p = charpoly(gram)
-    poly = (0,) * p.offset + p.coeffs  # dense: the offset is the zero root's order
+    poly = charpoly(gram)
     # no eigenvalue exceeds the largest absolute row sum of the Gram matrix
     lo, hi = _enclose(poly, Fraction(max(sum(map(abs, r)) for r in gram) + 1))
     return MuCertificate(poly, lo, hi)

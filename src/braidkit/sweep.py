@@ -40,7 +40,7 @@ from .invariants import (
     alexander_from_seifert,
     knot_determinant,
 )
-from .laurent import LaurentPoly
+from .laurent import normalized, to_text
 from .pacert import chain_pair, classify, mu, parse_twist_word
 from .twobridge import cf_to_fraction, crosscheck_w0
 
@@ -82,8 +82,8 @@ class SweepConfig:
             raise ConfigError("power range must be nonempty and nonnegative")
         for name in ("variants", "checks"):
             names = getattr(self, name)
-            if isinstance(names, str):
-                raise ConfigError(f"{name}: give a sequence of names, not the string {names!r}")
+            if isinstance(names, str) or not hasattr(names, "__iter__"):
+                raise ConfigError(f"{name}: give a sequence of names, not {names!r}")
             object.__setattr__(self, name, tuple(names))
         if not self.variants:
             raise ConfigError("variant set must be nonempty")
@@ -242,20 +242,20 @@ def _build_record(
             inconclusive = True
     if "alexander" in checks:
         poly = alexander_from_burau(word)
-        record["alexander_burau"] = poly.to_text()
+        record["alexander_burau"] = to_text(poly)
         record["determinant"] = knot_determinant(poly)
-        holds.append(poly.equals_up_to_units(LaurentPoly.one()))
+        holds.append(poly == (1,))
     if "fibred" in checks:
         lift = lift_homological(word)
-        fibred_poly = charpoly_int(lift).unit_normalized()
-        record["alexander_fibred"] = fibred_poly.to_text()
+        fibred_poly = normalized(charpoly_int(lift))
+        record["alexander_fibred"] = to_text(fibred_poly)
         record["lift_max_entry"] = mat_max_abs(lift)
         cover = branched_cover_euler(2 * genus + 1)
         record["fibre_genus"] = cover.genus
         holds.append(cover.genus == genus)
         roundtrip = alexander_from_seifert(seifert_from_monodromy(lift))
-        record["alexander_seifert"] = roundtrip.to_text()
-        holds.append(roundtrip.equals_up_to_units(fibred_poly))
+        record["alexander_seifert"] = to_text(roundtrip)
+        holds.append(roundtrip == fibred_poly)
     if "pa" in checks:
         # both read the pair's memoized mu certificate
         pair = chain_pair(genus)

@@ -22,7 +22,7 @@ from math import gcd
 
 from .braid import FamilySpec
 from .coverlift import fibred_alexander
-from .laurent import LaurentPoly
+from .laurent import normalized
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def odd_partner(fraction: TwoBridgeFraction) -> int:
     return q if q % 2 == 1 else q + fraction.p
 
 
-def twobridge_alexander(fraction: TwoBridgeFraction) -> LaurentPoly:
+def twobridge_alexander(fraction: TwoBridgeFraction) -> tuple[int, ...]:
     """Alexander polynomial of the rational knot p/q, normalized."""
     p = fraction.p
     q = odd_partner(fraction)
@@ -77,8 +77,7 @@ def twobridge_alexander(fraction: TwoBridgeFraction) -> LaurentPoly:
         coeffs[exponent] = coeffs.get(exponent, 0) + (-1) ** k
     lo = min(coeffs)
     hi = max(coeffs)
-    dense = tuple(coeffs.get(e, 0) for e in range(lo, hi + 1))
-    return LaurentPoly(lo, dense).unit_normalized()
+    return normalized([coeffs.get(e, 0) for e in range(lo, hi + 1)])
 
 
 def crosscheck_w0(genus: int) -> bool:
@@ -89,4 +88,4 @@ def crosscheck_w0(genus: int) -> bool:
     fraction = cf_to_fraction([2] * (2 * genus))
     rational = twobridge_alexander(fraction)
     fibred = fibred_alexander(FamilySpec(genus, 0, "original"))
-    return rational.equals_up_to_units(fibred)
+    return rational == fibred

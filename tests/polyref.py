@@ -3,8 +3,10 @@
 A polynomial is a dict {exponent: coefficient} holding no zero
 coefficient, so the zero polynomial is {} and two polynomials are equal
 exactly when their dicts are.  Nothing here imports braidkit, so an oracle
-built on these shares no code with the arithmetic it checks.  `poly` reads
-braidkit's (offset, coefficients) form and `dense` writes it.
+built on these shares no code with the arithmetic it checks.  braidkit's
+polynomials are dense coefficient tuples from t**0: `poly` reads dense
+coefficients from any lowest exponent, `dense` writes them from t**0, and
+`at` evaluates.
 """
 
 
@@ -14,11 +16,20 @@ def poly(offset, coeffs):
 
 
 def dense(p):
-    """(offset, coefficients) with no zero at either end; (0, ()) for 0."""
-    if not p:
-        return 0, ()
-    lo, hi = min(p), max(p)
-    return lo, tuple(p.get(e, 0) for e in range(lo, hi + 1))
+    """The coefficients of p from t**0, no zero on top; () for 0.
+
+    p has no negative exponent.
+    """
+    if min(p, default=0) < 0:
+        raise ValueError("dense coefficients from t**0 need exponents >= 0")
+    return tuple(p.get(e, 0) for e in range(max(p, default=-1) + 1))
+
+
+def at(p, x):
+    """The value of p, with no negative exponent, at the integer x."""
+    if min(p, default=0) < 0:
+        raise ValueError("integer values need exponents >= 0")
+    return sum(c * x**e for e, c in p.items())
 
 
 def add(*terms):

@@ -427,13 +427,20 @@ def test_sweep_config_takes_integers_only(fields):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("variants", "original"), ("checks", "pa"), ("variants", ["original", "enhanced"])],
+    [
+        ("variants", "original"),
+        ("checks", "pa"),
+        ("variants", ["original", "enhanced"]),
+        ("variants", 5),
+        ("checks", None),
+    ],
 )
 def test_sweep_config_name_fields_take_sequences_of_names(field, value):
-    # a string was read letter by letter ("unknown variant 'o'"), and a list
-    # passed but left the frozen config unhashable
+    # a string was read letter by letter ("unknown variant 'o'"), a
+    # non-iterable escaped as a raw TypeError, and a list passed but left
+    # the frozen config unhashable
     fields = {"genus": (2,), "power": (0,), field: value}
-    if isinstance(value, str):
+    if not isinstance(value, list):
         with pytest.raises(ConfigError, match=f"^{field}: .*{value!r}"):
             SweepConfig(**fields)
     else:

@@ -23,8 +23,8 @@ from braidkit.coverlift import (
     seifert_from_monodromy,
     transvection,
 )
-from braidkit.invariants import alexander_from_seifert
-from braidkit.laurent import LaurentPoly
+from braidkit.invariants import alexander_from_seifert, knot_determinant
+from braidkit.laurent import normalized, to_text
 
 
 def _transpose(a):
@@ -108,9 +108,9 @@ def test_lift_respects_braid_relations():
 def test_lift_known_values():
     m = lift_homological(BraidWord(3, (2, -1)))
     assert m == ((2, 1), (1, 1))
-    assert charpoly_int(m).to_text() == "0|1 -3 1"
+    assert to_text(charpoly_int(m)) == "0|1 -3 1"
     trefoil_monodromy = lift_homological(BraidWord(3, (1, 2)))
-    assert charpoly_int(trefoil_monodromy).to_text() == "0|1 -1 1"
+    assert charpoly_int(trefoil_monodromy) == (1, -1, 1)
 
 
 def test_lift_strand_mismatch():
@@ -131,9 +131,9 @@ def test_lifts_are_symplectic(w):
 
 
 def test_fibred_alexander_original():
-    assert fibred_alexander(FamilySpec(1, 0)).to_text() == "0|1 -3 1"
-    assert fibred_alexander(FamilySpec(2, 0)).to_text() == "0|1 -7 13 -7 1"
-    assert abs(fibred_alexander(FamilySpec(2, 0)).eval_int(-1)) == 29
+    assert to_text(fibred_alexander(FamilySpec(1, 0))) == "0|1 -3 1"
+    assert fibred_alexander(FamilySpec(2, 0)) == (1, -7, 13, -7, 1)
+    assert knot_determinant(fibred_alexander(FamilySpec(2, 0))) == 29
     # the genus 1 family is constant in the power
     assert fibred_alexander(FamilySpec(1, 6)) == fibred_alexander(
         FamilySpec(1, 0)
@@ -142,7 +142,7 @@ def test_fibred_alexander_original():
 
 def test_fibred_alexander_enhanced_invariance():
     reference = fibred_alexander(FamilySpec(2, 0, "enhanced"))
-    assert reference.to_text() == "0|1 -1 1 -1 1"
+    assert reference == (1, -1, 1, -1, 1)
     for n in (1, 2, 3):
         assert fibred_alexander(FamilySpec(2, n, "enhanced")) == reference
 
@@ -157,8 +157,8 @@ def test_enhanced_stirring_word_lifts_trivially():
 def test_fibred_degree_is_twice_genus():
     for g in (1, 2, 3, 4):
         poly = fibred_alexander(FamilySpec(g, 1))
-        assert poly.offset == 0 and len(poly.coeffs) == 2 * g + 1
-        assert poly.coeffs == poly.coeffs[::-1]
+        assert poly[0] and len(poly) == 2 * g + 1
+        assert poly == poly[::-1]
 
 
 # -- branched covers -----------------------------------------------------
@@ -218,9 +218,7 @@ def test_seifert_solve_round_trips_charpoly():
     for g in (1, 2, 3, 4):
         m = lift_homological(family_braid(g, 2))
         v = seifert_from_monodromy(m)
-        assert alexander_from_seifert(v).equals_up_to_units(
-            charpoly_int(m)
-        )
+        assert alexander_from_seifert(v) == normalized(charpoly_int(m))
 
 
 def test_seifert_solve_rejects_unit_eigenvalue():
@@ -502,7 +500,8 @@ square_matrices = st.integers(1, 4).flatmap(
 @given(monic_coeffs, st.integers(-3, 3), st.integers(2, 4))
 def test_is_cyclic_on_companions_and_repeated_blocks(coeffs, c, n):
     companion = _companion(coeffs)
-    assert charpoly_int(companion) == LaurentPoly(0, coeffs + [1])
+    # dense from t**0, low zeros kept
+    assert charpoly_int(companion) == tuple(coeffs + [1])
     assert is_cyclic(companion)
     # two copies of one module, and a scalar, need n generators
     assert not is_cyclic(_block_diagonal(companion, companion))
