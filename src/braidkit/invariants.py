@@ -31,6 +31,13 @@ and submultiplicative, so two bounds are proven:
   matrices (entry (i, j) the l1 norm of the chunk's Burau entry), each
   chunk computed by this same packed product.
 
+A chunk's l1 matrix depends on the strand count and the chunk's letters
+alone, so `_chunk_l1` keeps it behind an lru_cache of _CHUNK_CACHE
+entries and the bound is exact whether it hits or not.  Chunks repeat:
+the half-words of the genus-2 enhanced family start at one offset inside
+phi at every power, so one example sweep asks for 96 chunk products and
+28 of them are distinct.
+
 The recurrence ignores every cancellation, so on a long word it is far
 too wide (288 bits for genus 2, power 6, enhanced, whose largest
 coefficient has 94); the chunk product sees the cancellation inside each
@@ -92,6 +99,7 @@ diagonal of t I - M.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .braid import BraidWord, closure_components
@@ -109,6 +117,17 @@ from .laurent import (
 # words longer than four chunks of this many letters bound their Burau
 # slot by the product of the chunks' exact l1 matrices
 _CHUNK = 16
+# distinct (strands, chunk) keys kept by `_chunk_l1`; the example sweep
+# asks for 28 per process
+_CHUNK_CACHE = 1024
+
+
+@lru_cache(maxsize=_CHUNK_CACHE)
+def _chunk_l1(n: int, chunk: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The exact l1 matrix of a chunk's reduced Burau product on n strands:
+    entry (i, j) is the l1 norm of the entry's coefficients."""
+    m, bits, _ = _packed_burau(n, chunk)
+    return tuple(tuple(packed_l1(v, bits) for v in row[1:n]) for row in m)
 
 
 def _l1_bound(n: int, letters) -> int:
@@ -117,8 +136,7 @@ def _l1_bound(n: int, letters) -> int:
         # l1 is submultiplicative, and each chunk's l1 matrix is exact
         bound = None
         for i in range(0, len(letters), _CHUNK):
-            m, bits, _ = _packed_burau(n, letters[i : i + _CHUNK])
-            l1 = [[packed_l1(v, bits) for v in row[1:n]] for row in m]
+            l1 = _chunk_l1(n, letters[i : i + _CHUNK])
             bound = l1 if bound is None else [
                 [sum(map(mul, row, col)) for col in zip(*l1)] for row in bound
             ]

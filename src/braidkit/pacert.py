@@ -29,6 +29,13 @@ MU_TOLERANCE.  `mu_certificate` computes them once per (frozen, hashable)
 MulticurvePair behind an lru_cache, and `mu_enclosure`, `mu` and
 `classify` all read that one certificate.  `classify` is memoized the same
 way, per (word, pair).
+
+The enclosure is a bisection from (0, hi] that keeps the Sturm sign-change
+counts at both ends, so each halving makes one count, at the midpoint:
+(mid, hi] holds a root exactly when the counts at mid and hi differ, and
+(lo, hi] holds their difference.  p(lo) is evaluated only once the
+enclosure isolates one root and is narrow enough, so on almost every
+input once.
 """
 
 from __future__ import annotations
@@ -37,7 +44,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import _divide, _mul, charpoly, count_roots_in, sturm_chain
+from .laurent import (
+    _divide,
+    _mul,
+    _sign_changes,
+    charpoly,
+    count_roots_in,
+    sturm_chain,
+)
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -131,13 +145,19 @@ def _enclose(poly: tuple[int, ...], hi: Fraction) -> tuple[Fraction, Fraction]:
     isolates that root, is at most MU_TOLERANCE wide and lo is not a root:
     a root at lo moves up to a midpoint once the width is below its gap."""
     chain, lo = sturm_chain(poly), Fraction(0)
+    # sign changes at each end: the count in (lo, hi] is their difference
+    at_lo, at_hi = _sign_changes(chain, lo), _sign_changes(chain, hi)
     while (
-        count_roots_in(chain, lo, hi) > 1
+        at_lo - at_hi > 1
         or hi - lo > MU_TOLERANCE
         or not sum(c * lo**i for i, c in enumerate(poly))
     ):
         mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if count_roots_in(chain, mid, hi) else (lo, mid)
+        at_mid = _sign_changes(chain, mid)
+        if at_mid != at_hi:  # a root in (mid, hi]
+            lo, at_lo = mid, at_mid
+        else:
+            hi, at_hi = mid, at_mid
     return lo, hi
 
 

@@ -540,6 +540,28 @@ def test_fibred_sweep_canonical_bytes_are_pinned():
     )
 
 
+def test_acceptance_grid_canonical_bytes_are_pinned():
+    # genus 1..6, power 0..10, both variants, unknot and alexander: it holds
+    # the longest chunked Burau words (genus 2, enhanced, power 10 has 724
+    # letters); perfbench pins the same digest for its alexander-grid
+    cfg = SweepConfig(
+        genus=tuple(range(1, 7)),
+        power=tuple(range(11)),
+        variants=("original", "enhanced"),
+        checks=("unknot", "alexander"),
+    )
+    records = run_sweep(cfg)
+    assert len(records) == 132
+    assert all(r["status"] == "verified" for r in records)
+    digest = hashlib.sha256(
+        canonical_json(build_report(records)).encode("utf-8")
+    ).hexdigest()
+    assert (
+        digest
+        == "ade62beed238a143912ba0c107d8eccf1727bbe3157cf69c28693aabb55b3b07"
+    )
+
+
 def test_docs_example_sweep_matches_the_benchmark_digest():
     # docs/sweep_example.cfg in process, serial and without its output
     # file; perfbench pins the same digest for its sweep-example workload,
@@ -1027,6 +1049,41 @@ def test_registry_report_bytes_are_pinned(tmp_path, capsys):
         hashlib.sha256(out.read_bytes()).hexdigest()
         == "b758d18d26fae5fa070d299035451f9422260eef5b2df43565a834fba21807c3"
     )
+
+
+def test_diff_reports_script_smoke(tmp_path, capsys):
+    script = _script("diff_reports")
+    cfg = SweepConfig(genus=(1, 2), power=(0, 1), variants=("original", "enhanced"))
+    document = build_report(run_sweep(cfg))
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(canonical_json(document), encoding="utf-8")
+    new.write_text(canonical_json(document), encoding="utf-8")
+    assert script.main([str(old), str(new)]) == 0
+    assert capsys.readouterr().out == "8 records: identical\n"
+    # one field changed and one record dropped
+    records = [dict(r) for r in document["records"]]
+    records[0]["determinant"] = 7
+    dropped = records.pop()
+    new.write_text(canonical_json({**document, "records": records}), encoding="utf-8")
+    assert script.main([str(old), str(new)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["genus=1 power=0 variant=enhanced", "  - determinant: 1", "  + determinant: 7"]
+    assert f"genus=2 power=1 variant={dropped['variant']} (only in OLD)" in out
+    assert out[-1] == "8 records: 2 differ"
+    # registry records are keyed by check name and genus
+    registry = tmp_path / "registry.json"
+    assert _script("verify_all").main(["--genus", "1", "--max-genus", "2", "--json", str(registry)]) == 0
+    capsys.readouterr()
+    assert script.main([str(registry), str(registry)]) == 0
+    assert capsys.readouterr().out == "17 records: identical\n"
+    assert script.main([str(registry), str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    new.write_text(json.dumps({"records": [1]}), encoding="utf-8")
+    assert script.main([str(old), str(new)]) == 2
+    assert capsys.readouterr().err == f"error: {new}: a record is not an object\n"
+    new.write_text(canonical_json({**document, "records": records * 2}), encoding="utf-8")
+    assert script.main([str(old), str(new)]) == 2
+    assert capsys.readouterr().err == "error: two records with key genus=1 power=0 variant=enhanced\n"
 
 
 def test_growth_table_script_smoke(tmp_path, capsys):

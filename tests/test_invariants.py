@@ -167,6 +167,70 @@ def test_family_burau_slots():
         assert top.bit_length() == largest
 
 
+def _chunk_l1_oracle(n, chunk):
+    """A chunk's l1 matrix from the reference Burau product."""
+    return [[sum(map(abs, p)) for p in row] for row in burau_oracle(BraidWord(n, chunk))[1]]
+
+
+@st.composite
+def chunked_words(draw):
+    """Words longer than four chunks, made of a few chunks that repeat and
+    a tail shorter than a chunk."""
+    n = draw(st.integers(2, 6))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    size = invariants._CHUNK
+    pool = draw(st.lists(st.lists(letter, min_size=size, max_size=size), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=5, max_size=9))
+    tail = draw(st.lists(letter, max_size=size - 1))
+    return BraidWord(n, tuple(x for i in picks for x in pool[i]) + tuple(tail))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunked_words())
+def test_cached_chunk_l1_bound_is_the_product_of_fresh_chunk_matrices(w):
+    n, size = w.strands, invariants._CHUNK
+    chunks = [w.letters[i : i + size] for i in range(0, len(w.letters), size)]
+    product = _chunk_l1_oracle(n, chunks[0])
+    for chunk in chunks[1:]:
+        l1 = _chunk_l1_oracle(n, chunk)
+        product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*l1)] for row in product]
+    invariants._chunk_l1.cache_clear()
+    assert invariants._l1_bound(n, w.letters) == max(map(max, product))
+    # each distinct chunk is computed once, then read from the cache
+    assert invariants._chunk_l1.cache_info().misses == len(set(chunks))
+    assert invariants._l1_bound(n, w.letters) == max(map(max, product))
+    assert invariants._chunk_l1.cache_info().misses == len(set(chunks))
+
+
+def test_sweep_computes_each_chunk_once(monkeypatch):
+    # genus 2, enhanced: the half-words start at one offset inside phi at
+    # every power, so their chunks repeat within a word and across powers
+    from braidkit.sweep import SweepConfig, run_sweep
+
+    keys = []
+    chunk_l1 = invariants._chunk_l1
+
+    def recording_chunk_l1(n, chunk):
+        keys.append((n, chunk))
+        return chunk_l1(n, chunk)
+
+    monkeypatch.setattr(invariants, "_chunk_l1", recording_chunk_l1)
+    chunk_l1.cache_clear()
+    records = run_sweep(
+        SweepConfig(
+            genus=(2,),
+            power=tuple(range(7)),
+            variants=("enhanced",),
+            checks=("alexander",),
+            parallelism=1,
+        )
+    )
+    assert len(records) == 7
+    assert all(r["status"] == "verified" for r in records)
+    assert chunk_l1.cache_info().misses == len(set(keys))
+    assert (len(keys), len(set(keys))) == (96, 28)
+
+
 def _eliminations(compute):
     """Run compute() and count its calls of the one elimination loop."""
     calls = []

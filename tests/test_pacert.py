@@ -330,6 +330,73 @@ def test_a_root_at_lo_breaks_the_count_and_the_guard_moves_it():
     assert pacert._sign_at_mu((-e - 1, e), guarded) == 0
 
 
+def _chain_enclose_inputs(genus):
+    """The charpoly and upper end that `mu_certificate` bisects."""
+    gram = pacert._gram(chain_pair(genus))
+    return charpoly(gram), Fraction(max(sum(map(abs, r)) for r in gram) + 1)
+
+
+# chain pairs at genus 1..8, and (t - 1)(e t - e - 1), e = 2^41, whose roots
+# 1 and 1 + 1/e are closer than MU_TOLERANCE
+ENCLOSE_CASES = [_chain_enclose_inputs(g) for g in range(1, 9)] + [
+    ((2**41 + 1, -(2**42 + 1), 2**41), Fraction(2))
+]
+
+
+@pytest.mark.parametrize("poly, hi", ENCLOSE_CASES)
+def test_one_count_bisection_matches_the_two_count_oracle(poly, hi):
+    assert pacert._enclose(poly, hi) == ref.enclose(poly, hi, MU_TOLERANCE)
+
+
+@st.composite
+def polys_with_a_simple_largest_root(draw):
+    """lead * prod (b t - a)^m * prod (t^2 - k) with a simple largest root
+    r > 0 above every other root, and an integer upper end above r."""
+    roots = [Fraction(a, b) for a, b in draw(
+        st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 6)), max_size=4)
+    )]
+    gap = draw(
+        st.sampled_from([Fraction(1, 2**41), Fraction(1, 3**25)])
+        | st.fractions(Fraction(1, 50), 10, max_denominator=50)
+    )
+    r = max(roots + [Fraction(0)]) + gap
+    poly = (draw(st.sampled_from([1, -1, 3])),)
+    for x in roots:
+        for _ in range(draw(st.integers(1, 3))):
+            poly = _times(poly, (-x.numerator, x.denominator))
+    poly = _times(poly, (-r.numerator, r.denominator))
+    for k in draw(st.lists(st.integers(1, 30), max_size=2)):
+        if k < r * r:  # +-sqrt(k) stay below r
+            poly = _times(poly, (-k, 0, 1))
+    return poly, Fraction(int(r) + draw(st.integers(1, 9)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys_with_a_simple_largest_root())
+def test_one_count_bisection_matches_the_oracle_on_random_polynomials(case):
+    poly, hi = case
+    lo, hi_out = pacert._enclose(poly, hi)
+    assert (lo, hi_out) == ref.enclose(poly, hi, MU_TOLERANCE)
+    assert count_roots_in(poly, lo, hi_out) == 1
+
+
+@pytest.mark.parametrize("poly, hi", ENCLOSE_CASES)
+def test_bisection_counts_once_per_halving(monkeypatch, poly, hi):
+    calls = []
+
+    def counting(chain, x):
+        calls.append(x)
+        return sign_changes(chain, x)
+
+    sign_changes = pacert._sign_changes
+    monkeypatch.setattr(pacert, "_sign_changes", counting)
+    lo, out = pacert._enclose(poly, hi)
+    # each halving halves the width, so the final width is hi / 2**halvings
+    halvings = (hi / (out - lo)).numerator.bit_length() - 1
+    assert hi / (out - lo) == 2**halvings
+    assert len(calls) == halvings + 2
+
+
 @pytest.mark.parametrize(
     "word, kind, trace",
     [
