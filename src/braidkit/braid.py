@@ -33,10 +33,6 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
     @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
     def transposition(n: int, i: int) -> "Permutation":
         """The simple transposition (i, i+1) in S_n."""
         images = list(range(1, n + 1))

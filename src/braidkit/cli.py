@@ -18,14 +18,8 @@ import dataclasses
 import json
 import sys
 
-from .braid import FamilyError, VARIANTS, family_braid, format_braid_text
-from .checks import (
-    CheckParamError,
-    STATUS_EXIT,
-    check_names,
-    exit_code_for,
-    run_check,
-)
+from .braid import VARIANTS, family_braid, format_braid_text
+from .checks import CheckParamError, check_names, exit_code_for, run_check
 from .report import (
     build_report,
     emit_csv,
@@ -37,7 +31,6 @@ from .sweep import parse_config, run_sweep
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_INCONCLUSIVE = 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +83,7 @@ def _cmd_family(args) -> int:
             args.variant,
             allow_extension_fixture=args.fixture,
         )
-    except (FamilyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if args.as_json:
@@ -133,7 +126,7 @@ def _cmd_check(args) -> int:
         print(summary)
         if "message" in record:
             print(f"  {record['message']}")
-    return STATUS_EXIT.get(record.get("status", "error"), EXIT_ERROR)
+    return exit_code_for([record])
 
 
 def _open_output(path: str | None):

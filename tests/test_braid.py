@@ -122,7 +122,7 @@ def test_underlying_permutation():
 
 @given(words())
 def test_underlying_permutation_folds_transpositions(w):
-    expected = Permutation.identity(w.strands)
+    expected = Permutation(tuple(range(1, w.strands + 1)))
     for x in w.letters:
         expected = expected.then(Permutation.transposition(w.strands, abs(x)))
     assert underlying_permutation(w) == expected
