@@ -17,6 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from braidkit.braid import VARIANTS
 from braidkit.coverlift import growth_sequence
 
 
@@ -25,9 +26,7 @@ def main(argv=None) -> int:
     ap.add_argument("--genus", type=int, default=2)
     ap.add_argument("--min-power", type=int, default=0)
     ap.add_argument("--max-power", type=int, default=10)
-    ap.add_argument(
-        "--variant", choices=("original", "enhanced"), default="original"
-    )
+    ap.add_argument("--variant", choices=VARIANTS, default="original")
     ap.add_argument("--csv", metavar="PATH", help="also write a CSV file")
     args = ap.parse_args(argv)
 

@@ -21,8 +21,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from braidkit.checks import applies_at, check_names, exit_code_for, run_check
-from braidkit.report import build_report, canonical_json
+from braidkit.braid import VARIANTS
+from braidkit.checks import applies_at, check_names, run_check
+from braidkit.report import build_report, canonical_json, exit_code_for
 
 
 def main(argv=None) -> int:
@@ -32,9 +33,7 @@ def main(argv=None) -> int:
         "--max-genus", type=int, default=None, help="last genus (inclusive)"
     )
     ap.add_argument("--power", type=int, default=0)
-    ap.add_argument(
-        "--variant", choices=("original", "enhanced"), default="original"
-    )
+    ap.add_argument("--variant", choices=VARIANTS, default="original")
     ap.add_argument(
         "--fixture",
         action="store_true",

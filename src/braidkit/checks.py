@@ -344,16 +344,3 @@ def _check_growth(params: dict) -> dict:
         "status": "verified" if increasing else "refuted",
     }
 
-
-STATUS_EXIT = {"verified": 0, "refuted": 1, "error": 1, "inconclusive": 2}
-
-
-def exit_code_for(records) -> int:
-    """Worst exit code across records: error beats inconclusive beats ok."""
-    worst = 0
-    for record in records:
-        code = STATUS_EXIT.get(record.get("status", "error"), 1)
-        if code == 1:
-            return 1
-        worst = max(worst, code)
-    return worst

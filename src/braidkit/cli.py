@@ -1,4 +1,4 @@
-"""Command-line driver.
+"""Command-line driver: a thin shell over the library.
 
 Subcommands:
 
@@ -7,26 +7,25 @@ Subcommands:
     sweep    walk a (genus, power, variant) grid from a config file
     emit     re-emit a JSON report as json, csv, or an aligned table
 
-Exit codes: 0 everything verified, 1 error or refuted, 2 a certifier
-returned inconclusive.
+The library checks every input: `run_check` refuses an unknown check
+name, `FamilySpec` an unknown variant, `SweepConfig` a bad config value,
+each with a message.  Only `check` loads the check registry.
+
+Exit codes (`report.exit_code_for`): 0 everything verified, 1 error,
+refuted or a usage error, 2 a certifier returned inconclusive.  `--help`
+exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 
-from .braid import VARIANTS, family_braid, format_braid_text
-from .checks import CheckParamError, check_names, exit_code_for, run_check
-from .report import (
-    build_report,
-    emit_csv,
-    emit_json,
-    emit_table,
-    validate_report,
-)
+from .braid import family_braid, format_braid_text
+from .report import EMITTERS, build_report, exit_code_for, validate_report
 from .sweep import parse_config, run_sweep
 
 EXIT_OK = 0
@@ -41,9 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fam = sub.add_parser("family", help="print a family braid word")
+    fam.set_defaults(run=_cmd_family)
     fam.add_argument("--genus", type=int, required=True)
     fam.add_argument("--power", type=int, default=0)
-    fam.add_argument("--variant", choices=VARIANTS, default="original")
+    fam.add_argument("--variant", default="original")
     fam.add_argument(
         "--fixture",
         action="store_true",
@@ -52,25 +52,26 @@ def build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--json", action="store_true", dest="as_json")
 
     chk = sub.add_parser("check", help="run one named verification")
-    chk.add_argument("name", choices=check_names())
+    chk.set_defaults(run=_cmd_check)
+    chk.add_argument("name", help="a registered check; an unknown name lists them")
     chk.add_argument("--genus", type=int)
     chk.add_argument("--power", type=int)
-    chk.add_argument("--variant", choices=VARIANTS)
+    chk.add_argument("--variant")
     chk.add_argument("--word", help="braid text: strand count then letters")
     chk.add_argument("--twist-word", help='two-twist word, e.g. "A B-"')
     chk.add_argument("--fixture", action="store_true")
     chk.add_argument("--json", action="store_true", dest="as_json")
 
     swp = sub.add_parser("sweep", help="run a parameter sweep")
+    swp.set_defaults(run=_cmd_sweep)
     swp.add_argument("--config", required=True)
     swp.add_argument("--output", help="override the config output path")
     swp.add_argument("--parallelism", type=int)
 
     emt = sub.add_parser("emit", help="re-emit a report")
+    emt.set_defaults(run=_cmd_emit)
     emt.add_argument("--input", required=True)
-    emt.add_argument(
-        "--format", choices=("json", "csv", "table"), default="json"
-    )
+    emt.add_argument("--format", choices=EMITTERS, default="json")
     emt.add_argument("--output")
     return parser
 
@@ -101,6 +102,9 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # the registry, and Garside with it, is loaded for this subcommand only
+    from .checks import CheckParamError, run_check
+
     params: dict = {}
     for key in ("genus", "power", "variant", "word"):
         value = getattr(args, key)
@@ -130,27 +134,19 @@ def _cmd_check(args) -> int:
 
 
 def _open_output(path: str | None):
-    """Stream for a report: the file at path, or stdout when path is empty.
+    """A context giving the report's stream: the file at path, or stdout
+    (left open) when path is empty.
 
     Returns None, after printing the reason, when the file cannot be opened.
     A NUL byte in the path, which a config file can hold, is a ValueError.
     """
     if not path:
-        return sys.stdout
+        return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, "w", encoding="utf-8")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-
-
-def _emit(document: dict, fmt: str, handle) -> None:
-    if fmt == "json":
-        emit_json(document, handle)
-    elif fmt == "csv":
-        emit_csv(document, handle)
-    else:
-        emit_table(document, handle)
 
 
 def _cmd_sweep(args) -> int:
@@ -172,12 +168,9 @@ def _cmd_sweep(args) -> int:
     handle = _open_output(config.output)
     if handle is None:
         return EXIT_ERROR
-    try:
+    with handle as stream:
         records = run_sweep(config)
-        _emit(build_report(records, timing=config.timing), config.format, handle)
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
+        EMITTERS[config.format](build_report(records, timing=config.timing), stream)
     counts: dict[str, int] = {}
     for record in records:
         counts[record["status"]] = counts.get(record["status"], 0) + 1
@@ -203,22 +196,16 @@ def _cmd_emit(args) -> int:
     handle = _open_output(args.output)
     if handle is None:
         return EXIT_ERROR
-    try:
-        _emit(document, args.format, handle)
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
+    with handle as stream:
+        EMITTERS[args.format](document, stream)
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "family":
-        return _cmd_family(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "emit":
-        return _cmd_emit(args)
-    raise AssertionError("unreachable")
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here would read as
+        # inconclusive; it has printed the usage and the reason already
+        return EXIT_OK if not exc.code else EXIT_ERROR
+    return args.run(args)

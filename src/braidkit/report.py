@@ -1,5 +1,9 @@
 """Report assembly and emission: canonical JSON, CSV, aligned tables.
 
+This module holds the output contract: the record statuses and the exit
+code each gives a command (`STATUS_EXIT`, `exit_code_for`), and the
+output formats (`EMITTERS`).
+
 Reports are self-describing: every document carries the toolkit version
 and a convention fingerprint (Burau form, brick sign table, transvection
 sign, continued-fraction and Seifert-solve conventions), because the
@@ -142,6 +146,23 @@ def _table_cell(value) -> str:
     return str(value)
 
 
+EMITTERS = {"json": emit_json, "csv": emit_csv, "table": emit_table}
+
+# a record's status and the exit code it gives a command
+STATUS_EXIT = {"verified": 0, "refuted": 1, "error": 1, "inconclusive": 2}
+
+
+def exit_code_for(records) -> int:
+    """Worst exit code across records: error beats inconclusive beats ok."""
+    worst = 0
+    for record in records:
+        code = STATUS_EXIT.get(record.get("status", "error"), 1)
+        if code == 1:
+            return 1
+        worst = max(worst, code)
+    return worst
+
+
 class ReportFormatError(ValueError):
     pass
 
@@ -166,7 +187,7 @@ def validate_report(document: dict) -> None:
         if not isinstance(record, dict):
             raise ReportFormatError(f"record {idx} must be an object")
         status = record.get("status")
-        if status not in ("verified", "refuted", "inconclusive", "error"):
+        if not isinstance(status, str) or status not in STATUS_EXIT:
             raise ReportFormatError(
                 f"record {idx} has invalid status {status!r}"
             )

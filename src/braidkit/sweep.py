@@ -42,6 +42,7 @@ from .invariants import (
 )
 from .laurent import normalized, to_text
 from .pacert import chain_pair, classify, mu, parse_twist_word
+from .report import EMITTERS
 from .twobridge import cf_to_fraction, crosscheck_w0
 
 CHECK_GROUPS = ("unknot", "alexander", "fibred", "pa", "twobridge")
@@ -58,8 +59,23 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_group(name) -> str:
+    """The sweep group that evaluates a group or registry check name."""
+    group = _GROUP_ALIASES.get(name, name) if isinstance(name, str) else name
+    if group not in CHECK_GROUPS:
+        raise ConfigError(
+            f"{name!r} is not a sweep check group "
+            f"({', '.join(CHECK_GROUPS)}); a registry check runs "
+            f"with `braidkit check {name}`"
+        )
+    return group
+
+
 @dataclass(frozen=True)
 class SweepConfig:
+    """A sweep grid and its output, and the one validator of sweep input:
+    config files and library callers get the same grid and refusals."""
+
     genus: tuple[int, ...]
     power: tuple[int, ...]
     variants: tuple[str, ...] = ("original",)
@@ -71,8 +87,8 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         try:  # integers only: 2.0 is refused, not truncated
-            object.__setattr__(self, "genus", tuple(map(index, self.genus)))
-            object.__setattr__(self, "power", tuple(map(index, self.power)))
+            self._keep("genus", map(index, self.genus))
+            self._keep("power", map(index, self.power))
             object.__setattr__(self, "parallelism", index(self.parallelism))
         except TypeError:
             raise ConfigError("genus, power and parallelism must be integers") from None
@@ -84,21 +100,26 @@ class SweepConfig:
             names = getattr(self, name)
             if isinstance(names, str) or not hasattr(names, "__iter__"):
                 raise ConfigError(f"{name}: give a sequence of names, not {names!r}")
-            object.__setattr__(self, name, tuple(names))
-        if not self.variants:
+        variants = tuple(self.variants)
+        if not variants:
             raise ConfigError("variant set must be nonempty")
-        for v in self.variants:
+        for v in variants:
             if v not in VARIANTS:
                 raise ConfigError(f"unknown variant {v!r}")
+        self._keep("variants", variants)
+        self._keep("checks", map(_check_group, self.checks))
         if not self.checks:
             raise ConfigError("check selection must be nonempty")
-        for c in self.checks:
-            if c not in CHECK_GROUPS:
-                raise ConfigError(f"unknown check group {c!r}")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be at least 1")
-        if self.format not in ("json", "csv", "table"):
+        if self.timing is not True and self.timing is not False:
+            raise ConfigError(f"timing must be True or False, got {self.timing!r}")
+        if not isinstance(self.format, str) or self.format not in EMITTERS:
             raise ConfigError(f"unknown output format {self.format!r}")
+
+    def _keep(self, name: str, values) -> None:
+        """Set a field of the frozen config; a value named twice is one."""
+        object.__setattr__(self, name, tuple(dict.fromkeys(values)))
 
 
 def _parse_int(text: str, key: str) -> int:
@@ -122,13 +143,36 @@ def _parse_range(text: str, key: str) -> tuple[int, ...]:
             out.extend(range(lo, hi + 1))
         else:
             out.append(_parse_int(part, key))
-    if not out:
-        raise ConfigError(f"{key}: no values")
-    return tuple(dict.fromkeys(out))
+    return tuple(out)
+
+
+def _parse_names(text: str, key: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def _parse_flag(text: str, key: str) -> bool:
+    flag = text.lower()
+    if flag not in ("on", "off", "true", "false"):
+        raise ConfigError(f"{key} must be on or off")
+    return flag in ("on", "true")
+
+
+# config key -> (the SweepConfig field it sets, the reader of its text);
+# SweepConfig checks every value
+_CONFIG_KEYS = {
+    "genus": ("genus", _parse_range),
+    "power": ("power", _parse_range),
+    "variant": ("variants", _parse_names),
+    "checks": ("checks", _parse_names),
+    "output": ("output", lambda text, key: text),
+    "format": ("format", lambda text, key: text),
+    "parallelism": ("parallelism", _parse_int),
+    "timing": ("timing", _parse_flag),
+}
 
 
 def parse_config(text: str) -> SweepConfig:
-    values: dict[str, str] = {}
+    fields: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -136,61 +180,15 @@ def parse_config(text: str) -> SweepConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = value
-    known = {
-        "genus",
-        "power",
-        "variant",
-        "checks",
-        "output",
-        "format",
-        "parallelism",
-        "timing",
-    }
-    for key in values:
-        if key not in known:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    if "genus" not in values or "power" not in values:
+        field, read = _CONFIG_KEYS[key]
+        if field in fields:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        fields[field] = read(value, key)
+    if "genus" not in fields or "power" not in fields:
         raise ConfigError("config needs genus and power ranges")
-    kwargs: dict = {
-        "genus": _parse_range(values["genus"], "genus"),
-        "power": _parse_range(values["power"], "power"),
-    }
-    if "variant" in values:
-        kwargs["variants"] = tuple(
-            dict.fromkeys(
-                v.strip() for v in values["variant"].split(",") if v.strip()
-            )
-        )
-    if "checks" in values:
-        groups = []
-        for name in values["checks"].split(","):
-            name = name.strip()
-            if not name:
-                continue
-            group = _GROUP_ALIASES.get(name, name)
-            if group not in CHECK_GROUPS:
-                raise ConfigError(
-                    f"{name!r} is not a sweep check group "
-                    f"({', '.join(CHECK_GROUPS)}); a registry check runs "
-                    f"with `braidkit check {name}`"
-                )
-            groups.append(group)
-        kwargs["checks"] = tuple(dict.fromkeys(groups))
-    if "output" in values:
-        kwargs["output"] = values["output"]
-    if "format" in values:
-        kwargs["format"] = values["format"]
-    if "parallelism" in values:
-        kwargs["parallelism"] = _parse_int(values["parallelism"], "parallelism")
-    if "timing" in values:
-        flag = values["timing"].lower()
-        if flag not in ("on", "off", "true", "false"):
-            raise ConfigError("timing must be on or off")
-        kwargs["timing"] = flag in ("on", "true")
-    return SweepConfig(**kwargs)
+    return SweepConfig(**fields)
 
 
 def build_record(task: tuple[int, int, str, tuple[str, ...], bool]) -> dict:

@@ -13,14 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from braidkit.checks import (
-    CheckParamError,
-    STATUS_EXIT,
-    applies_at,
-    check_names,
-    exit_code_for,
-    run_check,
-)
+from braidkit.checks import CheckParamError, applies_at, check_names, run_check
 from braidkit import checks, cli, sweep
 from braidkit.braid import FamilyError
 from braidkit.coverlift import ConventionError
@@ -30,11 +23,13 @@ from braidkit.report import (
     CONVENTION_FINGERPRINT,
     ReportFormatError,
     SCHEMA_VERSION,
+    STATUS_EXIT,
     build_report,
     canonical_json,
     emit_csv,
     emit_json,
     emit_table,
+    exit_code_for,
     validate_report,
 )
 from braidkit.sweep import ConfigError, SweepConfig, parse_config, run_sweep
@@ -352,6 +347,9 @@ def test_parse_config_single_values_and_aliases():
     assert cfg.genus == (2,)
     assert cfg.power == (0,)
     assert "pa" in cfg.checks
+    # a library caller's config resolves the aliases as a config file does
+    assert cfg == SweepConfig(genus=(2,), power=(0,), checks=("pa", "fibre-genus"))
+    assert cfg.checks == ("pa", "fibred")
 
 
 def test_parse_config_drops_duplicate_values():
@@ -363,6 +361,9 @@ def test_parse_config_drops_duplicate_values():
     assert (cfg.genus, cfg.power, cfg.variants) == ((2,), (0,), ("original",))
     assert cfg.checks == ("pa",)
     assert len(run_sweep(cfg)) == 1
+    # the same in the library, where an alias and its group are one name
+    cfg = SweepConfig(genus=(2, 2), power=(0,), checks=("fibre-genus", "fibred"))
+    assert (cfg.genus, cfg.checks) == ((2,), ("fibred",))
 
 
 @pytest.mark.parametrize(
@@ -376,6 +377,8 @@ def test_registry_checks_without_a_sweep_group_are_refused(
     text = f"genus = 1\npower = 0\nchecks = pa, {name}\n"
     with pytest.raises(ConfigError, match=f"braidkit check {name}"):
         parse_config(text)
+    with pytest.raises(ConfigError, match=f"braidkit check {name}"):
+        SweepConfig(genus=(1,), power=(0,), checks=(name,))
     config = tmp_path / "alias.cfg"
     config.write_text(text)
     assert main(["sweep", "--config", str(config)]) == 1
@@ -423,6 +426,13 @@ def test_sweep_config_takes_integers_only(fields):
     # a float genus used to pass the config and abort run_sweep with a TypeError
     with pytest.raises(ConfigError, match="must be integers"):
         SweepConfig(**fields)
+
+
+@pytest.mark.parametrize("value", ["off", 0, None])
+def test_sweep_config_timing_is_true_or_false(value):
+    # the string "off" used to switch timing on, seconds and all
+    with pytest.raises(ConfigError, match=f"timing must be True or False, got {value!r}"):
+        SweepConfig(genus=(1,), power=(0,), timing=value)
 
 
 @pytest.mark.parametrize(
@@ -721,9 +731,26 @@ def test_cli_check_json(capsys):
     assert record["verdict"] == "pseudo-anosov"
 
 
-def test_cli_check_rejects_unknown_name():
-    with pytest.raises(SystemExit):
-        main(["check", "mystery-check"])
+def test_cli_check_rejects_unknown_name(capsys):
+    # the registry refuses the name and lists the known ones; exit 2 would
+    # read as inconclusive
+    assert main(["check", "mystery-check"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown check 'mystery-check'; known: " + ", ".join(ALL_CHECKS) in err
+
+
+def test_cli_usage_errors_exit_one_and_help_exits_zero(capsys):
+    assert main(["family", "--genus", "x"]) == 1
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert main(["family", "--genus", "2", "--variant", "bogus"]) == 1
+    assert "variant must be one of ('original', 'enhanced')" in capsys.readouterr().err
+    assert main(["emit", "--input", "r.json", "--format", "xml"]) == 1
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    assert main([]) == 1
+    assert "required" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert main(["check", "--help"]) == 0
+    assert "usage: braidkit check" in capsys.readouterr().out
 
 
 def test_cli_sweep_and_emit(tmp_path, capsys):

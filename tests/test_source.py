@@ -38,11 +38,15 @@ def _loaded_submodules(code):
 
 
 def test_each_import_loads_only_what_it_reads():
-    # the package holds no re-exports, so importing it runs no submodule, and
-    # a sweep that writes a report loads neither the check registry nor Garside
+    # the package holds no re-exports, so importing it runs no submodule; a
+    # sweep that writes a report, and the command line until `check` runs,
+    # load neither the check registry nor Garside
     assert _loaded_submodules("import braidkit") == set()
     loaded = _loaded_submodules("import braidkit.sweep, braidkit.report")
     assert {"braidkit.sweep", "braidkit.report"} <= loaded
+    assert not loaded & {"braidkit.checks", "braidkit.garside"}
+    loaded = _loaded_submodules("import braidkit.cli")
+    assert "braidkit.cli" in loaded
     assert not loaded & {"braidkit.checks", "braidkit.garside"}
 
 
