@@ -8,6 +8,9 @@ nothing here computes or estimates a hyperbolic volume.
 
     python scripts/growth_table.py --genus 2 --max-power 10
     python scripts/growth_table.py --genus 3 --variant original --csv growth.csv
+
+Exit code 0 when the table is printed, 1 on any error, a usage error
+included.
 """
 
 import argparse
@@ -28,7 +31,12 @@ def main(argv=None) -> int:
     ap.add_argument("--max-power", type=int, default=10)
     ap.add_argument("--variant", choices=VARIANTS, default="original")
     ap.add_argument("--csv", metavar="PATH", help="also write a CSV file")
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; like every other error here it
+        # exits 1.  argparse has printed the usage and the reason already
+        return 0 if not exc.code else 1
 
     powers = range(args.min_power, args.max_power + 1)
     if not powers:

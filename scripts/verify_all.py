@@ -11,7 +11,7 @@ for the two homology checks, genus 2 and up for the growth check, since
 the genus 1 family does not depend on the power); skips are reported
 rather than counted against the run.
 Exit code follows the check contract: 0 all verified, 1 any error or
-refutation, 2 inconclusive.
+refutation (a usage error included), 2 inconclusive.
 """
 
 import argparse
@@ -40,7 +40,12 @@ def main(argv=None) -> int:
         help="allow the fixture stirring word for enhanced genus != 2",
     )
     ap.add_argument("--json", metavar="PATH", help="write the full report")
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which would read as
+        # inconclusive; it has printed the usage and the reason already
+        return 0 if not exc.code else 1
 
     last = args.max_genus if args.max_genus is not None else args.genus
     if last < args.genus:

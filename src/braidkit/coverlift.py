@@ -15,16 +15,21 @@ size 2g fix the genus.  All matrices here are tuples of tuples of Python
 ints, and the Seifert solve stays in the integers too (fraction-free
 forward elimination and back substitution, no Fractions); sizes stay
 small, so exactness beats vectorization.
-A transvection touches one row, so the lift updates that row per letter;
+A transvection touches one row, so the lift updates that row per letter,
+in one `map` over the row (row_i minus, or plus, row_(i+1) - row_(i-1));
 the product of `transvection` matrices is the reference it is tested
-against.  Whether a lift presents a cyclic Alexander module is decided by
+against.  The Seifert solve orders its unknowns sparsest first by a count
+read off each row of M (its zeros and its diagonal entry), and builds its
+augmented rows from the columns of M, with no per-entry Python in
+either.  Whether a lift presents a cyclic Alexander module is decided by
 one integer determinant (`is_cyclic`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from operator import add, neg, sub
 
 from .braid import BraidWord, VARIANTS, FamilySpec, build_family, family_braid
 from .laurent import charpoly, det_pencil, normalized
@@ -37,9 +42,7 @@ class ConventionError(ValueError):
 
 
 def mat_identity(size: int) -> IntMatrix:
-    return tuple(
-        tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
-    )
+    return tuple((0,) * i + (1,) + (0,) * (size - i - 1) for i in range(size))
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -56,7 +59,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_max_abs(a: IntMatrix) -> int:
-    return max((abs(x) for row in a for x in row), default=0)
+    return max(map(abs, chain.from_iterable(a)), default=0)
 
 
 def intersection_form(rank: int) -> IntMatrix:
@@ -94,7 +97,8 @@ def lift_homological(word: BraidWord) -> IntMatrix:
 
     A word on 2g + 1 strands lifts to the rank 2g chain basis.
     Left-multiplying by transvection(2g, i, sign) changes only row i:
-    row_i -= sign * (row_{i+1} - row_{i-1}), missing neighbours being zero.
+    row_i -= sign * (row_{i+1} - row_{i-1}), missing neighbours being zero,
+    one `map` over the row (sub for sign +1, add for -1).
     """
     k = word.strands - 1
     if k < 2 or k % 2:
@@ -105,11 +109,12 @@ def lift_homological(word: BraidWord) -> IntMatrix:
     zero = [0] * k
     for letter in word.letters:
         i = abs(letter) - 1
-        sign = 1 if letter > 0 else -1
         above = rows[i - 1] if i > 0 else zero
         below = rows[i + 1] if i + 1 < k else zero
-        rows[i] = [x - sign * (b - a) for x, a, b in zip(rows[i], above, below)]
-    return tuple(tuple(row) for row in rows)
+        rows[i] = list(
+            map(sub if letter > 0 else add, rows[i], map(sub, below, above))
+        )
+    return tuple(map(tuple, rows))
 
 
 def charpoly_int(matrix: IntMatrix) -> tuple[int, ...]:
@@ -150,6 +155,21 @@ def branched_cover_euler(branch_points: int) -> BranchedCoverData:
     return BranchedCoverData(branch_points, chi, boundary, (2 - chi - boundary) // 2)
 
 
+def _sparsest_first(matrix: IntMatrix) -> list[int]:
+    """Row indices r of a square M by the nonzero count of row r of I - M,
+    fewest first; a stable sort, so ties keep index order."""
+    size = len(matrix)
+    # entry (r, c) of I - M is nonzero when M_rc != delta_rc: the nonzero
+    # entries of row r of M, less M_rr if nonzero, plus one if M_rr != 1
+    return sorted(
+        range(size),
+        key=lambda r: size
+        - matrix[r].count(0)
+        - (matrix[r][r] != 0)
+        + (matrix[r][r] != 1),
+    )
+
+
 def seifert_from_monodromy(matrix: IntMatrix) -> IntMatrix:
     """Integer S with S^T = S*M and S - S^T = -J, from S(I - M) = -J.
 
@@ -160,9 +180,9 @@ def seifert_from_monodromy(matrix: IntMatrix) -> IntMatrix:
     S(I - M) = -J is solved as (I - M)^T S^T = -J^T: the unknowns are the
     rows r of I - M, and right-hand side c gives row c of S.  The unknowns
     are taken sparsest first, in increasing order of the number of nonzero
-    entries in row r of I - M (a stable sort, so ties keep index order):
-    the lifts' I - M is nearly triangular, and this order leaves few
-    entries below each pivot.
+    entries in row r of I - M (a stable sort, so ties keep index order;
+    `_sparsest_first`): the lifts' I - M is nearly triangular, and this
+    order leaves few entries below each pivot.
 
     The forward pass is fraction-free elimination (Bareiss) of the
     augmented rows [(I - M)^T | -J^T], with the left block's columns in
@@ -187,17 +207,14 @@ def seifert_from_monodromy(matrix: IntMatrix) -> IntMatrix:
     if any(len(row) != size for row in matrix):
         raise ValueError("monodromy must be a square matrix")
     form = intersection_form(size)  # refuses an odd or empty size
-    # entry (r, c) of I - M is nonzero when M[r][c] != delta_rc
-    order = sorted(
-        range(size),
-        key=lambda r: sum(x != int(r == c) for c, x in enumerate(matrix[r])),
-    )
+    order = _sparsest_first(matrix)
     # row c is column c of I - M, in that order, then column c of -J,
     # which is row c of the antisymmetric J
-    rows = [
-        [int(r == c) - matrix[r][c] for r in order] + list(form[c])
-        for c in range(size)
-    ]
+    rows = [list(map(neg, column)) for column in zip(*(matrix[r] for r in order))]
+    for k, r in enumerate(order):
+        rows[r][k] += 1
+    for row, form_row in zip(rows, form):
+        row += form_row
     # each row's divisor: the pivot of its last update; the row is its
     # stored entries times prev / divisor
     divs = [1] * size

@@ -15,11 +15,17 @@ base-2**B digits.  This keeps the hot loop inside CPython's big-integer
 multiply instead of per-coefficient Python.  `det_laurent` does this for a
 matrix of polynomials (the Burau path); `det_pencil(A, B)` packs
 the integer pencil A + t*B as A_ij + (B_ij << B) with no polynomial
-objects, for `charpoly` (det(t*I - M)) and the Seifert determinant
-det(S - t*S^T).  Both use the one elimination and the one slot rule below.
+objects, for the Seifert determinant det(S - t*S^T).  `charpoly` packs
+t*I - M the same way, straight from M and with no identity matrix: it
+negates each entry of M once, takes row i's sum of squared entry l1 norms
+as sum_j M_ij**2 + 2|M_ii| + 1 (the diagonal entry -M_ii + t has l1 norm
+|M_ii| + 1), and adds 2**B to the diagonal entries.  All three use the one
+elimination and the one slot rule below.
 
 The elimination, `_bareiss_det`, stores every entry as an odd mantissa m
-and an exponent e >= 0, the value m * 2**e (zero is 0 with e = 0).  An
+and an exponent e >= 0, the value m * 2**e (zero is 0 with e = 0).  Its
+first pass leaves an odd entry, already a mantissa, as it is, and moves
+the trailing zeros of an even one into its exponent.  An
 entry t**k * p, k low zeros, packs to 2**(k*B) times the packed p,
 and every k x k Bareiss minor of aligned entries carries such a factor, so
 the powers of two that aligning creates stay in the exponents and out of
@@ -122,7 +128,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import index
+from operator import index, mul
 
 
 def normalized(coeffs) -> tuple[int, ...]:
@@ -235,6 +241,9 @@ def _bareiss_det(values: list[list[int]], exps: list[list[int]]) -> int:
         return 1
     for mi, ei in zip(values, exps):
         for j, x in enumerate(mi):
+            if x & 1:
+                # already an odd mantissa
+                continue
             if x:
                 tz = (x & -x).bit_length() - 1
                 mi[j] = x >> tz
@@ -347,11 +356,20 @@ def det_pencil(a, b) -> tuple[int, ...]:
 
 
 def charpoly(matrix) -> tuple[int, ...]:
-    """Characteristic polynomial det(t*I - M) of an integer matrix, exactly."""
+    """Characteristic polynomial det(t*I - M) of an integer matrix, exactly,
+    its pencil packed straight from M (see the module notes)."""
     n = len(matrix)
-    minus = [[-index(x) for x in row] for row in matrix]
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    return det_pencil(minus, identity)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant of a non-square pencil")
+    values = [[-index(x) for x in row] for row in matrix]
+    bits = _det_slot_bits(
+        sum(map(mul, row, row)) + 2 * abs(row[i]) + 1 for i, row in enumerate(values)
+    )
+    one = 1 << bits
+    for i, row in enumerate(values):
+        row[i] += one
+    exps = [[0] * n for _ in range(n)]
+    return tuple(_unpack(_bareiss_det(values, exps), bits))
 
 
 # -- integer polynomials -----------------------------------------------

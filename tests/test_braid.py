@@ -80,6 +80,25 @@ def test_braid_word_validation():
 
 
 @pytest.mark.parametrize(
+    "strands, letters, bad",
+    [
+        (3, (1, 0, 3), 0),
+        (3, (1, -3, 0), -3),
+        (3, (2, -2, 3), 3),
+        (4, (1, 2, -3, -4, 4), -4),
+        (1, (1,), 1),
+        (2, (-1, 1, 2, 0), 2),
+    ],
+)
+def test_braid_word_names_the_first_bad_letter(strands, letters, bad):
+    # letter 0 and letters of size >= strands are refused, and the message
+    # names the first of them
+    with pytest.raises(ValueError, match=rf"^letter {bad} out of range for {strands} strands$"):
+        BraidWord(strands, letters)
+    BraidWord(strands, tuple(x for x in letters if x and abs(x) < strands))
+
+
+@pytest.mark.parametrize(
     "strands, letters", [(3, (1.7,)), (3, (2.0,)), (3, ("1",)), (3.5, ()), (3.0, (1,))]
 )
 def test_braid_word_takes_integers_only(strands, letters):

@@ -1063,6 +1063,23 @@ def test_verify_all_script_smoke(tmp_path, capsys):
     assert "checks:" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("verify_all", ["--genus", "x"]),
+        ("verify_all", ["--variant", "bogus"]),
+        ("growth_table", ["--variant", "bogus"]),
+        ("growth_table", ["--max-power", "1.5"]),
+    ],
+)
+def test_scripts_answer_a_usage_error_with_exit_1(name, argv, capsys):
+    # argparse's own exit 2 would read as inconclusive
+    assert _script(name).main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert _script(name).main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_registry_report_bytes_are_pinned(tmp_path, capsys):
     # every registered check at genus 1..4, power 0, as verify_all runs
     # them: the pa verdicts and floats and the alexander-module records

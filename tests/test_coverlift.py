@@ -10,6 +10,7 @@ from braidkit import laurent
 from braidkit.braid import BraidWord, FamilySpec, family_braid
 from braidkit.coverlift import (
     ConventionError,
+    _sparsest_first,
     branched_cover_euler,
     charpoly_int,
     fibred_alexander,
@@ -311,6 +312,35 @@ def test_seifert_solve_matches_the_rational_oracle(case):
         v[r][c] - vt[r][c] == -j[r][c] for r in range(k) for c in range(k)
     )
     assert mat_mul(v, m) == vt
+
+
+def _nonzeros_of_i_minus_m(m, r):
+    return sum(x != int(r == c) for c, x in enumerate(m[r]))
+
+
+_solve_entry = st.one_of(st.sampled_from([0, 0, 0, 1, 1, -1, 2]), st.integers())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(_solve_entry, min_size=n, max_size=n).map(tuple),
+            min_size=n,
+            max_size=n,
+        ).map(tuple)
+    )
+)
+def test_sparsest_first_counts_the_nonzeros_of_i_minus_m(m):
+    # the count from M's zeros and its diagonal is the count of I - M, so
+    # the solve takes its unknowns, and its pivots, in the same order
+    for r in range(len(m)):
+        assert (
+            len(m) - m[r].count(0) - (m[r][r] != 0) + (m[r][r] != 1)
+            == _nonzeros_of_i_minus_m(m, r)
+        )
+    expected = sorted(range(len(m)), key=lambda r: _nonzeros_of_i_minus_m(m, r))
+    assert _sparsest_first(m) == expected
 
 
 @settings(max_examples=120, deadline=None)

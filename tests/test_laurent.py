@@ -4,6 +4,7 @@ Sturm counting."""
 from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -824,6 +825,57 @@ def test_pencil_slot_is_never_wider_than_the_row_l1_slot(case):
     assert value == _at(poly, 1 << slot)
 
 
+# Pencils as the fibred column makes them: mixed signs, and a diagonal that
+# can outweigh its row, as in tI - M and S - tS^T
+_mixed_entry = st.one_of(
+    st.sampled_from([0, 0, 0, 1, -1]),
+    st.integers(-(2**30), 2**30),
+)
+
+
+@st.composite
+def _mixed_pencils(draw):
+    n = draw(st.integers(1, 6))
+    a, b = (
+        draw(st.lists(st.lists(_mixed_entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        for _ in range(2)
+    )
+    for i in range(n):
+        if draw(st.booleans()):
+            a[i][i] += draw(st.sampled_from([-1, 1])) * draw(st.integers(0, 2**80))
+        if draw(st.booleans()):
+            b[i][i] += draw(st.sampled_from([-1, 1])) * draw(st.integers(0, 2**80))
+    return a, b
+
+
+def _hadamard_slot(rows):
+    """The Hadamard slot entry by entry: each row's sum of (|x| + |y|)**2
+    over the pencil entries x + t*y, their product's square root rounded up,
+    so a packing that sums rows another way must give the same width."""
+    product = 1
+    for row in rows:
+        product *= sum((abs(x) + abs(y)) ** 2 for x, y in row)
+    root = isqrt(product)
+    return slot_bits(root if root * root == product else root + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_pencils())
+# small entries, where the diagonal's 2|M_ii| + 1 moves the charpoly slot
+@example(([[-2, -2], [0, 1]], [[0, 0], [0, 0]]))
+def test_packed_pencils_match_the_cofactor_oracle(case):
+    a, b = case
+    pencil = [list(zip(ra, rb)) for ra, rb in zip(a, b)]
+    det, slot, _ = _one_slot(lambda: det_pencil(a, b))
+    assert _ref(det) == _ref(_cofactor_det(pencil))
+    assert slot == _hadamard_slot(pencil)
+    # tI - M: the pencil -M + t*I
+    shifted = [[(-x, int(i == j)) for j, x in enumerate(row)] for i, row in enumerate(a)]
+    poly, slot, _ = _one_slot(lambda: charpoly(a))
+    assert _ref(poly) == _ref(_cofactor_det(shifted))
+    assert slot == _hadamard_slot(shifted)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 4).flatmap(
@@ -854,6 +906,13 @@ def test_det_pencil_rejects_a_non_square_pencil():
         det_pencil([[1, 2]], [[1, 2]])
     with pytest.raises(ValueError):
         det_pencil([[1]], [[1], [2]])
+
+
+def test_charpoly_rejects_a_non_square_matrix():
+    # charpoly packs its pencil itself, so it checks the shape itself
+    for m in ([[1, 2], [3]], [[1], [2]], [[1, 2]]):
+        with pytest.raises(ValueError, match="non-square"):
+            charpoly(m)
 
 
 def test_pencil_entries_that_are_not_integers_raise():
