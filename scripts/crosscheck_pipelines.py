@@ -8,6 +8,9 @@ sign table and the Burau conventions have drifted apart, so this script
 is the fast regression alarm for convention changes.
 
     python scripts/crosscheck_pipelines.py --count 200 --seed 7
+
+Exit code 0 when every word agrees, 1 on a mismatch or any error, a usage
+error included.
 """
 
 import argparse
@@ -48,7 +51,12 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--verbose", action="store_true", help="print every word checked"
     )
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which would read as
+        # inconclusive; it has printed the usage and the reason already
+        return 0 if not exc.code else 1
 
     if args.count < 1:
         print(f"error: --count {args.count} is below 1", file=sys.stderr)

@@ -21,7 +21,6 @@ from typing import Callable
 from .braid import (
     BraidWord,
     FamilySpec,
-    VARIANTS,
     build_family,
     enhanced_phi,
     family_braid,
@@ -120,8 +119,6 @@ def _family_word(params: dict) -> tuple[BraidWord, dict]:
     genus = _genus(params)
     power = _int_param(params, "power", 0)
     variant = params.get("variant", "original")
-    if variant not in VARIANTS:
-        raise CheckParamError(f"unknown variant {variant!r}")
     fixture = params.get("phi_fixture", False)
     if fixture is not True and fixture is not False:
         raise CheckParamError(

@@ -12,27 +12,23 @@ monodromy matrix by a linear solve.
 
 No function takes the surface: a word's 2g + 1 strands and a matrix's
 size 2g fix the genus.  All matrices here are tuples of tuples of Python
-ints, and the Seifert solve stays in the integers too (fraction-free
-forward elimination and back substitution, no Fractions); sizes stay
-small, so exactness beats vectorization.
-A transvection touches one row, so the lift updates that row per letter,
-in one `map` over the row (row_i minus, or plus, row_(i+1) - row_(i-1));
-the product of `transvection` matrices is the reference it is tested
-against.  The Seifert solve orders its unknowns sparsest first by a count
-read off each row of M (its zeros and its diagonal entry), and builds its
-augmented rows from the columns of M, with no per-entry Python in
-either.  Whether a lift presents a cyclic Alexander module is decided by
-one integer determinant (`is_cyclic`).
+ints; sizes stay small, so exactness beats vectorization.  The lift
+updates one row per letter, in one `map` over the row; the product of
+`transvection` matrices is the reference it is tested against.  The
+Seifert solve and `is_cyclic`, which decides whether a lift presents a
+cyclic Alexander module, stay in the integers: both eliminate with
+`laurent._bareiss_plain`, and the solve ends in a fraction-free back
+substitution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from operator import add, neg, sub
 
-from .braid import BraidWord, VARIANTS, FamilySpec, build_family, family_braid
-from .laurent import charpoly, det_pencil, normalized
+from .braid import BraidWord, FamilySpec, build_family, family_braid
+from .laurent import _bareiss_plain, charpoly, normalized
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -184,14 +180,10 @@ def seifert_from_monodromy(matrix: IntMatrix) -> IntMatrix:
     `_sparsest_first`): the lifts' I - M is nearly triangular, and this
     order leaves few entries below each pivot.
 
-    The forward pass is fraction-free elimination (Bareiss) of the
-    augmented rows [(I - M)^T | -J^T], with the left block's columns in
-    that order, on the rows below the pivot only.  Its pivot rule (the
-    first nonzero entry) and its deferred row scaling (each row keeps the
-    pivot of its last real update as its divisor) are those of
-    `laurent._bareiss_det`: see the `laurent` module notes.  The caught-up
-    pivot row k is row k of [U | b], an upper triangular system with the
-    same solutions, and the last pivot d is +-det(I - M).
+    The forward pass is `laurent._bareiss_plain` on the augmented rows
+    [(I - M)^T | -J^T], with the left block's columns in that order.  Its
+    caught-up pivot row k is row k of [U | b], an upper triangular system
+    with the same solutions, and its determinant d is +-det(I - M).
 
     Back substitution runs on x' = d*x, one right-hand side at a time:
 
@@ -215,42 +207,9 @@ def seifert_from_monodromy(matrix: IntMatrix) -> IntMatrix:
         rows[r][k] += 1
     for row, form_row in zip(rows, form):
         row += form_row
-    # each row's divisor: the pivot of its last update; the row is its
-    # stored entries times prev / divisor
-    divs = [1] * size
-    # row k of U from column k on: u_kk, u_kj for j > k, then b_k
-    upper = []
-    prev = 1
-    for col in range(size):
-        # every row starts at column col: the columns before it are done
-        pivot_row = next((r for r in range(col, size) if rows[r][0]), None)
-        if pivot_row is None:
-            raise ValueError("monodromy has 1 as an eigenvalue; no Seifert solve")
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        divs[col], divs[pivot_row] = divs[pivot_row], divs[col]
-        row = rows[col]
-        if divs[col] != prev:
-            # bring the pivot row up to date
-            div = divs[col]
-            row = [x * prev // div for x in row]
-        upper.append(row)
-        pivot = row[0]
-        tail = row[1:]
-        for r in range(col + 1, size):
-            below = rows[r]
-            f = below[0]
-            if f:
-                div = divs[r]
-                rows[r] = [
-                    (pivot * x - f * y) // div
-                    for x, y in zip(islice(below, 1, None), tail)
-                ]
-                divs[r] = pivot
-            else:
-                # the step would only scale the row by pivot / prev
-                del below[0]
-        prev = pivot
-    d = prev  # +-det(I - M)
+    upper, d = _bareiss_plain(rows)  # d = +-det(I - M)
+    if not d:
+        raise ValueError("monodromy has 1 as an eigenvalue; no Seifert solve")
     out = [[0] * size for _ in range(size)]
     for c in range(size):
         found = []  # (j, x'_j) with x'_j != 0
@@ -287,7 +246,7 @@ def is_cyclic(matrix: IntMatrix) -> bool:
         flat.append([x for row in power for x in row])
         power = mat_mul(power, matrix)
     gram = [[sum(x * y for x, y in zip(u, v)) for v in flat] for u in flat]
-    return any(det_pencil(gram, [[0] * size for _ in range(size)]))
+    return bool(_bareiss_plain(gram)[1])
 
 
 def growth_sequence(
@@ -296,8 +255,6 @@ def growth_sequence(
     variant: str = "original",
 ) -> tuple[int, ...]:
     """Max-absolute-entry of the lifted family word for each power."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     out = []
     for n in powers:
         word = family_braid(genus, n, variant)

@@ -8,60 +8,61 @@ Alexander polynomials are compared, and `to_text` prints it for reports.
 A Laurent polynomial, such as a Burau entry, is carried as t**N times it
 for a known N.  Nothing here ever touches floating point.
 
-Determinants use Kronecker substitution: every entry is evaluated at t = 2**B,
-the resulting integer matrix is eliminated fraction-free (Bareiss), and the
-determinant polynomial is read back off the final integer in balanced
-base-2**B digits.  This keeps the hot loop inside CPython's big-integer
-multiply instead of per-coefficient Python.  `det_laurent` does this for a
-matrix of polynomials (the Burau path); `det_pencil(A, B)` packs
-the integer pencil A + t*B as A_ij + (B_ij << B) with no polynomial
-objects, for the Seifert determinant det(S - t*S^T).  `charpoly` packs
-t*I - M the same way, straight from M and with no identity matrix: it
-negates each entry of M once, takes row i's sum of squared entry l1 norms
-as sum_j M_ij**2 + 2|M_ii| + 1 (the diagonal entry -M_ii + t has l1 norm
-|M_ii| + 1), and adds 2**B to the diagonal entries.  All three use the one
-elimination and the one slot rule below.
+Determinants use Kronecker substitution: every entry is evaluated at
+t = 2**B, the integer matrix is eliminated fraction-free (Bareiss), and
+the determinant is read back off the final integer in balanced base-2**B
+digits, so the hot loop is CPython's big-integer multiply.  `det_laurent`
+packs a matrix of polynomials (the Burau path), `det_pencil(A, B)` the
+integer pencil A + t*B as A_ij + (B_ij << B), and `charpoly` t*I - M
+straight from M: it negates each entry once, takes row i's sum of squared
+entry l1 norms as sum_j M_ij**2 + 2|M_ii| + 1 (the diagonal entry
+-M_ii + t has l1 norm |M_ii| + 1), and adds 2**B to the diagonal.  All
+three use the one slot rule below.
 
-The elimination, `_bareiss_det`, stores every entry as an odd mantissa m
-and an exponent e >= 0, the value m * 2**e (zero is 0 with e = 0).  Its
-first pass leaves an odd entry, already a mantissa, as it is, and moves
-the trailing zeros of an even one into its exponent.  An
-entry t**k * p, k low zeros, packs to 2**(k*B) times the packed p,
-and every k x k Bareiss minor of aligned entries carries such a factor, so
-the powers of two that aligning creates stay in the exponents and out of
-the big-integer operands.  A product adds exponents; a difference shifts
-the mantissa with the larger exponent up to the smaller one; each result
-drops its trailing zeros into its exponent.  The division by the previous
-pivot pm * 2**pe uses the odd pm alone, and is exact: every Bareiss
-quotient is an integer (a minor of the matrix), so pm, being odd, divides
-the odd part of the numerator, and the quotient's exponent ve - pe is its
-2-adic valuation, hence >= 0.  Nothing is inverted modulo a power of two.
+There are two eliminations, one per kind of matrix, with one pivot rule
+and one deferred row scaling.  Step k pivots on the first row i >= k whose
+column-k entry is nonzero, swaps it in and flips the sign; a column with
+no nonzero entry left gives 0.  Row pivoting keeps Bareiss exact: each
+quotient is a minor of the row-permuted matrix.  Step k takes row i to
+(p_k * r_ij - r_ik * r_kj) / p_(k-1), p_0 = 1; when r_ik = 0 that is r_ij
+times p_k / p_(k-1), and over a run of such steps the factors telescope to
+p_k / p_l, l the row's last real update.  So such a row is left as it is
+and keeps a divisor, the pivot of its last update (1 at the start): its
+up-to-date entries are the stored ones times prev / divisor.  A real
+update divides by the row's divisor in place of prev, which gives the same
+exact minor, and sets the divisor to the step's pivot.  The pivot row, and
+the final entry, are brought up to date by one multiply by prev and one
+exact division by the divisor.  A stored entry is 0 exactly when its
+up-to-date value is, so the first nonzero entry is read off the stored
+rows, and its row is nearly always one that the step before updated.
 
-Each step k pivots on the first row i >= k whose column-k entry is
-nonzero, swaps that row in (mantissas, exponents and divisor) and flips the
-sign; a column with no nonzero entry left gives 0.  Row pivoting keeps
-Bareiss exact: each quotient is a minor of the row-permuted matrix.  The
-Seifert solve of `coverlift` pivots by the same rule.
+`_bareiss_plain` takes the integer matrices, on plain ints, each row
+dropping its pivot-column entry as the step passes it: the pencils of
+`det_pencil` and `charpoly`, the Gram determinant of `coverlift.is_cyclic`
+and the augmented rows of `coverlift.seifert_from_monodromy`, which reads
+the caught-up pivot rows.  The pencils are sparse: the genus-10, power-10
+monodromy M has 170 zero entries in 400 and its Seifert form 358, and 170
+of the 190 row updates of either pencil, tI - M or S - tS^T, are such
+scalings.  On the 99 `monodromy-lift` matrices (the eliminations alone,
+in process, medians of 30 runs, 2-core Xeon host) it takes the charpolys
+in 5.8 ms against 9.7 for `_bareiss_det`, and the Seifert pencils in 4.1
+against 6.0.
 
-Rows whose entry in the pivot column is 0 are left as they are.  Bareiss
-step k takes row i to (p_k * r_ij - r_ik * r_kj) / p_(k-1), with p_k the
-pivot of step k and p_0 = 1; when r_ik = 0 that is r_ij times
-p_k / p_(k-1), and over a run of such steps the factors telescope to
-p_k / p_l, where l is the row's last real update.  So each row keeps a
-divisor, the pivot (odd mantissa and exponent) of its last update, 1 at the
-start, and its up-to-date entries are the stored ones times prev / divisor.
-A real update divides by the row's divisor in place of prev, which gives
-the same exact minor, and then sets the divisor to the step's pivot.  The
-pivot row, and the final entry, are brought up to date with one multiply by
-prev and one exact division by the divisor; the exponent moves by
-prev_exp - divisor_exp.  A stored entry is 0 exactly when its up-to-date
-value is, so the pivots, and the minors, are those of an elimination that
-scales every row.  That is why the first nonzero entry suits deferred
-scaling: choosing it reads the stored entries alone, and its row is nearly
-always one that the step before updated, so it is already up to date.  The
-pencils are sparse: the genus-10, power-10 monodromy M has 170 zero
-entries in 400 and its Seifert form 358, and 170 of the 190 row updates of
-either pencil, tI - M or S - tS^T, are such scalings.
+`_bareiss_det` takes the Burau matrices of `det_laurent`, whose packed
+entries carry powers of t.  It stores every entry, and each divisor, as an
+odd mantissa m and an exponent e >= 0, the value m * 2**e (zero is 0 with
+e = 0); its first pass moves the trailing zeros of an even entry into its
+exponent.  An entry t**k * p packs to 2**(k*B) times the packed p, and
+every k x k Bareiss minor of aligned entries carries such a factor, so the
+powers of two that aligning creates stay in the exponents and out of the
+big-integer operands.  A product adds exponents; a difference shifts the
+mantissa with the larger exponent up to the smaller one; each result drops
+its trailing zeros into its exponent.  The division by the previous pivot
+pm * 2**pe uses the odd pm alone, and is exact: the Bareiss quotient is an
+integer (a minor), so the odd pm divides the odd part of the numerator,
+and the quotient's exponent ve - pe is its 2-adic valuation, hence >= 0.
+On the 56 example-sweep Burau determinants it takes 6.1 ms against 14.3
+for `_bareiss_plain`, and 6.3 against 7.7 without deferred scaling.
 
 Only the final determinant is unpacked (the Bareiss intermediates are exact
 integers whatever B is), so B has to cover its coefficients alone.  It is
@@ -78,13 +79,11 @@ rounded up.  For a pencil, |A_ij + t*B_ij|_1 = |A_ij| + |B_ij|.  Since
 sum x**2 <= (sum x)**2, the bound is never wider than the product of the
 row l1 norms.
 
-That bound is often far above the coefficients themselves, and every
-Bareiss operand is as long as the longest entry times the slot.  One slot
-still suffices, because the Burau determinants come from the two
-half-words (see `invariants`), whose entries are short: evaluating at
-several narrower slots and certifying the result pays only at genus 2,
-enhanced, powers 6 to 10 of the example sweep, the acceptance grid and
-`monodromy-lift`, where it saves 0.5 to 5 ms of determinants of 3 to
+That bound is often far above the coefficients, and every Bareiss operand
+is as long as the longest entry times the slot.  One slot still suffices,
+because the Burau determinants come from the two short half-words (see
+`invariants`): several narrower slots, certified, pay only at genus 2,
+enhanced, powers 6 to 10, and save 0.5 to 5 ms of determinants of 3 to
 14 ms (best of 15, interleaved, 2-core Xeon host).
 
 The packing lives here alone.  `slot_bits(bound)` is the slot width whose
@@ -127,6 +126,7 @@ prebuilt `SturmChain` to `count_roots_in`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt
 from operator import index, mul
 
@@ -225,6 +225,53 @@ def _det_slot_bits(row_squares) -> int:
         product *= square
     root = isqrt(product)
     return slot_bits(root if root * root == product else root + 1)
+
+
+def _bareiss_plain(rows: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Fraction-free (Bareiss) elimination of the first n columns of n int
+    rows, which may run on as an augmented right-hand side: see the module
+    notes.  Destroys the rows.  Returns the caught-up pivot rows, row k from
+    column k on, and the signed determinant of the leading n x n block, 0
+    when a column has no pivot left (the pivot rows then stop short).
+    """
+    n = len(rows)
+    # each row's divisor: the pivot of its last update; the row is its
+    # stored entries times prev / divisor
+    divs = [1] * n
+    upper = []
+    sign = prev = 1
+    for col in range(n):
+        # every row starts at column col: the columns before it are done
+        r = next((i for i in range(col, n) if rows[i][0]), None)
+        if r is None:
+            return upper, 0
+        if r != col:
+            rows[col], rows[r] = rows[r], rows[col]
+            divs[col], divs[r] = divs[r], divs[col]
+            sign = -sign
+        row = rows[col]
+        div = divs[col]
+        if div != prev:
+            # bring the pivot row up to date
+            row = [x * prev // div for x in row]
+        upper.append(row)
+        pivot = row[0]
+        tail = row[1:]
+        for i in range(col + 1, n):
+            below = rows[i]
+            f = below[0]
+            if f:
+                div = divs[i]
+                rows[i] = [
+                    (pivot * x - f * y) // div
+                    for x, y in zip(islice(below, 1, None), tail)
+                ]
+                divs[i] = pivot
+            else:
+                # the step would only scale the row by pivot / prev
+                del below[0]
+        prev = pivot
+    return upper, sign * prev
 
 
 def _bareiss_det(values: list[list[int]], exps: list[list[int]]) -> int:
@@ -338,9 +385,10 @@ def det_laurent(matrix) -> tuple[int, ...]:
 def det_pencil(a, b) -> tuple[int, ...]:
     """Exact determinant det(A + t*B) of two square integer matrices.
 
-    The same elimination and Hadamard slot rule as `det_laurent` on the
-    pencil's entries A_ij + B_ij * t, whose l1 norms are |A_ij| + |B_ij|,
-    packed straight from the integers.  The result is dense from t**0.
+    The Hadamard slot rule of `det_laurent` on the pencil's entries
+    A_ij + B_ij * t, whose l1 norms are |A_ij| + |B_ij|, packed straight
+    from the integers and eliminated by `_bareiss_plain`.  The result is
+    dense from t**0.
     """
     n = len(a)
     if len(b) != n or any(len(row) != n for row in a) or any(len(row) != n for row in b):
@@ -351,8 +399,7 @@ def det_pencil(a, b) -> tuple[int, ...]:
         sum((abs(x) + abs(y)) ** 2 for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
     values = [[x + (y << bits) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    exps = [[0] * n for _ in range(n)]
-    return tuple(_unpack(_bareiss_det(values, exps), bits))
+    return tuple(_unpack(_bareiss_plain(values)[1], bits))
 
 
 def charpoly(matrix) -> tuple[int, ...]:
@@ -368,8 +415,7 @@ def charpoly(matrix) -> tuple[int, ...]:
     one = 1 << bits
     for i, row in enumerate(values):
         row[i] += one
-    exps = [[0] * n for _ in range(n)]
-    return tuple(_unpack(_bareiss_det(values, exps), bits))
+    return tuple(_unpack(_bareiss_plain(values)[1], bits))
 
 
 # -- integer polynomials -----------------------------------------------

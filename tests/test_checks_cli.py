@@ -744,6 +744,9 @@ def test_cli_usage_errors_exit_one_and_help_exits_zero(capsys):
     assert "invalid int value: 'x'" in capsys.readouterr().err
     assert main(["family", "--genus", "2", "--variant", "bogus"]) == 1
     assert "variant must be one of ('original', 'enhanced')" in capsys.readouterr().err
+    # `FamilySpec` alone validates the variant, so `check` refuses it alike
+    assert main(["check", "unknot", "--genus", "2", "--variant", "bogus"]) == 1
+    assert "variant must be one of ('original', 'enhanced')" in capsys.readouterr().out
     assert main(["emit", "--input", "r.json", "--format", "xml"]) == 1
     assert "invalid choice: 'xml'" in capsys.readouterr().err
     assert main([]) == 1
@@ -1070,6 +1073,7 @@ def test_verify_all_script_smoke(tmp_path, capsys):
         ("verify_all", ["--variant", "bogus"]),
         ("growth_table", ["--variant", "bogus"]),
         ("growth_table", ["--max-power", "1.5"]),
+        ("crosscheck_pipelines", ["--count", "x"]),
     ],
 )
 def test_scripts_answer_a_usage_error_with_exit_1(name, argv, capsys):

@@ -445,23 +445,36 @@ def test_seifert_solve_rejects_an_odd_or_empty_size(matrix):
 
 
 def test_monodromy_lift_pencils_take_one_slot():
-    # the 99 charpolys and 99 Seifert pencils of genus 2..10, power 0..10
+    # the 99 charpolys and 99 Seifert pencils of genus 2..10, power 0..10:
+    # each sizes one slot and runs one integer elimination, and none takes
+    # the mantissa elimination of the Burau determinants
     calls = []
-    real = laurent._bareiss_det
+    real_slot = laurent._det_slot_bits
+    real_plain, real_det = laurent._bareiss_plain, laurent._bareiss_det
 
-    def count(values, exps):
-        calls.append(None)
-        return real(values, exps)
+    def slot(row_squares):
+        calls.append("slot")
+        return real_slot(row_squares)
+
+    def eliminate(rows):
+        calls.append("plain")
+        return real_plain(rows)
+
+    def mantissa(values, exps):
+        calls.append("mantissa")
+        return real_det(values, exps)
 
     for genus in range(2, 11):
         for power in range(0, 11):
             lift = lift_homological(family_braid(genus, power))
             seifert = seifert_from_monodromy(lift)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(laurent, "_bareiss_det", count)
+                patch.setattr(laurent, "_det_slot_bits", slot)
+                patch.setattr(laurent, "_bareiss_plain", eliminate)
+                patch.setattr(laurent, "_bareiss_det", mantissa)
                 charpoly_int(lift)
                 alexander_from_seifert(seifert)
-            assert len(calls) == 2, (genus, power, len(calls))
+            assert calls == ["slot", "plain"] * 2, (genus, power, calls)
             calls.clear()
 
 
@@ -581,6 +594,12 @@ def test_is_cyclic_matches_the_rank_of_the_powers(m):
 
 def test_growth_sequence_frozen_values():
     assert growth_sequence(2, range(0, 6)) == (2, 4, 31, 238, 1678, 11603)
+
+
+def test_growth_sequence_refuses_a_bad_variant_as_family_spec_does():
+    message = r"variant must be one of \('original', 'enhanced'\)"
+    with pytest.raises(ValueError, match=message):
+        growth_sequence(2, range(0, 2), "bogus")
 
 
 def test_growth_strictly_increasing_from_two():

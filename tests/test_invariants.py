@@ -26,6 +26,7 @@ from braidkit.invariants import (
     signature_function,
 )
 from braidkit.laurent import _divide, det_laurent, normalized, slot_bits, to_text
+from braidkit.report import CONVENTION_FINGERPRINT
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 FIG8 = BraidWord(3, (1, -2, 1, -2))
@@ -389,6 +390,22 @@ def test_brick_trefoil_matrices():
     assert brick_seifert(FIG8) == ((-1, 0), (1, 1))
     # one brick, no generators: the unknot has an empty Seifert matrix
     assert brick_seifert(BraidWord(2, (1,))) == ()
+
+
+def test_report_fingerprint_states_the_brick_sign_table():
+    # reports describe the table they were made with; a change to the
+    # table that left the fingerprint alone would mislabel every report
+    assert CONVENTION_FINGERPRINT["brick_table"] == {
+        "diagonal": "-column_sign",
+        "shared_positive": list(invariants._SHARED_POS),
+        "shared_negative": list(invariants._SHARED_NEG),
+        "interleave_low_first": list(invariants._INTERLEAVE_LOW_FIRST),
+        "interleave_high_first": list(invariants._INTERLEAVE_HIGH_FIRST),
+    }
+    # the diagonal rule: a brick links itself minus its column's sign
+    for sign in (1, -1):
+        s = brick_seifert(BraidWord(3, (sign, -2, sign, -2)))
+        assert (s[0][0], s[1][1]) == (-sign, 1)
 
 
 def test_brick_rank_counts_bands():

@@ -16,6 +16,7 @@ from braidkit.coverlift import lift_homological, seifert_from_monodromy
 from braidkit.invariants import alexander_from_seifert
 from braidkit.laurent import (
     _bareiss_det,
+    _bareiss_plain,
     _divide,
     _mul,
     _pack,
@@ -402,6 +403,84 @@ def test_mantissa_elimination_matches_the_integer_determinant(case):
     assert _bareiss_det(values, exps) == expected
 
 
+# -- the integer elimination -------------------------------------------
+#
+# `_bareiss_plain` takes the integer matrices (pencils, the Gram matrix and
+# the Seifert solve); its signed determinant must be that of the mantissa
+# elimination and of the cofactor expansion.
+
+_plain_entry = st.one_of(
+    st.just(0),
+    st.sampled_from([0, 0, 1, -1]),
+    st.integers(-(2**20), 2**20),
+    st.integers(-(2**90), 2**90),
+)
+
+
+@st.composite
+def plain_matrices(draw):
+    """Square int matrices of size 0..7, often sparse, with the rows
+    shuffled, so that pivots need row swaps and rows that sat out a step
+    are swapped in; some zero a column or a row, or carry a diagonal far
+    heavier than the rest of its row before the shuffle."""
+    n = draw(st.integers(0, 7))
+    rows = [[draw(_plain_entry) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] += draw(st.sampled_from([-1, 1])) << draw(st.integers(40, 200))
+    rows = [rows[i] for i in draw(st.permutations(range(n)))]
+    shape = draw(st.sampled_from([None, "column", "row"])) if n else None
+    if shape == "column":
+        c = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[c] = 0
+    elif shape == "row":
+        rows[draw(st.integers(0, n - 1))] = [0] * n
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(plain_matrices())
+# one row swap, so the sign flips once
+@example([[0, 2], [3, 5]])
+# a pivot that needs a row swap at every step: the sign flips twice
+@example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+# row 1 sits out step 0 and is swapped in at step 1 past the stale row 2,
+# whose divisor must travel with it
+@example([[2, 1, 1], [0, 0, 3], [5, 0, 7]])
+# a zero column after step 0
+@example([[1, 1, 0], [1, 1, 0], [0, 5, 3]])
+def test_integer_elimination_matches_the_mantissa_one_and_the_cofactors(rows):
+    n = len(rows)
+    expected = _int_det(rows)
+    upper, det = _bareiss_plain([list(row) for row in rows])
+    assert det == expected
+    assert det == _bareiss_det([list(row) for row in rows], [[0] * n for _ in range(n)])
+    # the pivot rows stop short exactly when the determinant is 0
+    assert upper == _gaussian_pivot_rows(rows)
+    assert (len(upper) == n) == bool(det)
+
+
+def _gaussian_pivot_rows(rows):
+    """Rational elimination by the same pivot rule, each pivot row from its
+    pivot column on times the product of the pivots before it: the pivot
+    rows of Bareiss, whose pivots are the leading minors."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    out, minor = [], 1
+    for k in range(len(rows)):
+        r = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if r is None:
+            break
+        rows[k], rows[r] = rows[r], rows[k]
+        pivot = rows[k]
+        out.append([minor * x for x in pivot[k:]])
+        minor *= pivot[k]
+        for row in rows[k + 1 :]:
+            f = row[k] / pivot[k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], pivot[k:])]
+    return out
+
+
 # -- the pivot rule ------------------------------------------------------
 #
 # Each step pivots on the first nonzero entry of its column, at or below
@@ -710,10 +789,12 @@ def _one_slot(compute):
     """compute(), its one slot width and its one elimination's value.
 
     Fails unless compute() sized exactly one slot and ran exactly one
-    elimination.
+    elimination, of either kind: `_bareiss_det` for a matrix of
+    polynomials, `_bareiss_plain` for an integer pencil.
     """
     slots, values = [], []
-    real_slot, real_det = laurent._det_slot_bits, laurent._bareiss_det
+    real_slot = laurent._det_slot_bits
+    real_det, real_plain = laurent._bareiss_det, laurent._bareiss_plain
 
     def slot(row_squares):
         slots.append(real_slot(row_squares))
@@ -723,9 +804,15 @@ def _one_slot(compute):
         values.append(real_det(rows, exps))
         return values[-1]
 
+    def eliminate_plain(rows):
+        upper, det = real_plain(rows)
+        values.append(det)
+        return upper, det
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(laurent, "_det_slot_bits", slot)
         patch.setattr(laurent, "_bareiss_det", eliminate)
+        patch.setattr(laurent, "_bareiss_plain", eliminate_plain)
         result = compute()
     assert len(slots) == len(values) == 1
     return result, slots[0], values[0]
