@@ -277,8 +277,9 @@ def build_family(
     else:
         pi, middle = enhanced_pi(spec.genus), 1
         phi = original_phi(spec.genus) if fixture else enhanced_phi(spec.genus)
-    stirred = phi**spec.power
-    braid = pi * stirred * BraidWord(n, (middle,)) * stirred.inverse()
+    stirred = phi.letters * spec.power
+    letters = pi.letters + stirred + (middle,) + tuple(-x for x in reversed(stirred))
+    braid = BraidWord(n, letters)
     return FamilyWords(spec=spec, pi=pi, phi=phi, braid=braid, fixture=fixture)
 
 

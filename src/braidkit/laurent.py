@@ -11,18 +11,27 @@ for a known N.  Nothing here ever touches floating point.
 Determinants use Kronecker substitution: every entry is evaluated at
 t = 2**B, the integer matrix is eliminated fraction-free (Bareiss), and
 the determinant is read back off the final integer in balanced base-2**B
-digits, so the hot loop is CPython's big-integer multiply.  `det_laurent`
-packs a matrix of polynomials (the Burau path), `det_pencil(A, B)` the
-integer pencil A + t*B as A_ij + (B_ij << B), and `charpoly` t*I - M
-straight from M: it negates each entry once, takes row i's sum of squared
-entry l1 norms as sum_j M_ij**2 + 2|M_ii| + 1 (the diagonal entry
--M_ii + t has l1 norm |M_ii| + 1), and adds 2**B to the diagonal.  All
-three use the one slot rule below.
+digits, so the hot loop is CPython's big-integer multiply.  Four packers
+share the one slot rule below.  `det_laurent` packs a matrix of
+polynomials (the Burau path) and `det_pencil(A, B)` the integer pencil
+A + t*B as A_ij + (B_ij << B), entry by entry.  The fibred column's two
+pencils are packed straight from one matrix.  `charpoly` takes t*I - M
+from M: it negates each entry once, takes row i's sum of squared entry l1
+norms as sum_j M_ij**2 + 2|M_ii| + 1 (the diagonal entry -M_ii + t has l1
+norm |M_ii| + 1), and adds 2**B to the diagonal.  `det_transpose_pencil`
+takes S - t*S^T from the nonzero entries of S alone, found by `compress`:
+each x = S_ij adds x**2 + 2|x S_ji| to row i's sum of squares and x**2 to
+row j's, which sums the squared |S_ij| + |S_ji| of `det_pencil(S, -S^T)`,
+and then -x << B to entry (j, i) of S.  The Seifert forms are mostly
+zeros, and the 99 `monodromy-lift` determinants take about 0.6 of the
+time of `det_pencil(S, -S^T)`: 5.2 to 7.6 ms against 8.8 to 11.6 over
+two host speeds (in process, best of 15, 2-core Xeon).
 
 There are two eliminations, one per kind of matrix, with one pivot rule
-and one deferred row scaling.  Step k pivots on the first row i >= k whose
-column-k entry is nonzero, swaps it in and flips the sign; a column with
-no nonzero entry left gives 0.  Row pivoting keeps Bareiss exact: each
+and one deferred row scaling.  Step k pivots on row k when its column-k
+entry is nonzero, with no search; otherwise on the first row i > k whose
+column-k entry is nonzero, swapped in with a sign flip; a column with no
+nonzero entry left gives 0.  Row pivoting keeps Bareiss exact: each
 quotient is a minor of the row-permuted matrix.  Step k takes row i to
 (p_k * r_ij - r_ik * r_kj) / p_(k-1), p_0 = 1; when r_ik = 0 that is r_ij
 times p_k / p_(k-1), and over a run of such steps the factors telescope to
@@ -38,7 +47,7 @@ rows, and its row is nearly always one that the step before updated.
 
 `_bareiss_plain` takes the integer matrices, on plain ints, each row
 dropping its pivot-column entry as the step passes it: the pencils of
-`det_pencil` and `charpoly`, the Gram determinant of `coverlift.is_cyclic`
+the three integer packers, the Gram determinant of `coverlift.is_cyclic`
 and the augmented rows of `coverlift.seifert_from_monodromy`, which reads
 the caught-up pivot rows.  The pencils are sparse: the genus-10, power-10
 monodromy M has 170 zero entries in 400 and its Seifert form 358, and 170
@@ -126,7 +135,7 @@ prebuilt `SturmChain` to `count_roots_in`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from math import gcd, isqrt
 from operator import index, mul
 
@@ -242,10 +251,10 @@ def _bareiss_plain(rows: list[list[int]]) -> tuple[list[list[int]], int]:
     sign = prev = 1
     for col in range(n):
         # every row starts at column col: the columns before it are done
-        r = next((i for i in range(col, n) if rows[i][0]), None)
-        if r is None:
-            return upper, 0
-        if r != col:
+        if not rows[col][0]:
+            r = next((i for i in range(col + 1, n) if rows[i][0]), None)
+            if r is None:
+                return upper, 0
             rows[col], rows[r] = rows[r], rows[col]
             divs[col], divs[r] = divs[r], divs[col]
             sign = -sign
@@ -304,10 +313,10 @@ def _bareiss_det(values: list[list[int]], exps: list[list[int]]) -> int:
     sign = 1
     prev, prev_exp = 1, 0
     for k in range(n - 1):
-        r = next((i for i in range(k, n) if values[i][k]), None)
-        if r is None:
-            return 0
-        if r != k:
+        if not values[k][k]:
+            r = next((i for i in range(k + 1, n) if values[i][k]), None)
+            if r is None:
+                return 0
             values[k], values[r] = values[r], values[k]
             exps[k], exps[r] = exps[r], exps[k]
             divs[k], divs[r] = divs[r], divs[k]
@@ -400,6 +409,28 @@ def det_pencil(a, b) -> tuple[int, ...]:
     )
     values = [[x + (y << bits) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
     return tuple(_unpack(_bareiss_plain(values)[1], bits))
+
+
+def det_transpose_pencil(s) -> tuple[int, ...]:
+    """Exact determinant det(S - t*S^T) of a square integer matrix S, at
+    the slot of `det_pencil(S, -S^T)`, packed from the nonzero entries of S
+    alone (see the module notes).  The result is dense from t**0."""
+    n = len(s)
+    if any(len(row) != n for row in s):
+        raise ValueError("determinant of a non-square pencil")
+    s = [list(map(index, row)) for row in s]
+    squares = [0] * n
+    nonzeros = []
+    for i, row in enumerate(s):
+        for j in compress(range(n), row):
+            x = row[j]
+            squares[i] += x * x + 2 * abs(x * s[j][i])
+            squares[j] += x * x
+            nonzeros.append((j, i, x))
+    bits = _det_slot_bits(squares)
+    for j, i, x in nonzeros:
+        s[j][i] -= x << bits
+    return tuple(_unpack(_bareiss_plain(s)[1], bits))
 
 
 def charpoly(matrix) -> tuple[int, ...]:

@@ -247,6 +247,24 @@ def test_family_words_enhanced():
     assert family_braid(3, 1, "enhanced", allow_extension_fixture=True).strands == 7
 
 
+def test_family_braid_is_the_product_of_its_blocks():
+    # the letters are joined once; they must spell pi * phi^n * middle * phi^-n
+    for genus in range(1, 7):
+        for power in range(13):
+            for variant in ("original", "enhanced"):
+                for fixture in (False, True):
+                    spec = FamilySpec(genus, power, variant)
+                    if variant == "enhanced" and genus != 2 and not fixture:
+                        with pytest.raises(FamilyError):
+                            build_family(spec, fixture)
+                        continue
+                    words = build_family(spec, fixture)
+                    middle = BraidWord(spec.strands, (-1 if variant == "original" else 1,))
+                    stirred = words.phi**power
+                    expected = words.pi * stirred * middle * stirred.inverse()
+                    assert words.braid == expected, (genus, power, variant, fixture)
+
+
 def test_family_exponent_sum():
     # the stirring conjugation cancels, so the sum is power independent
     for n in (0, 1, 4):

@@ -482,9 +482,11 @@ def test_signature_off_minus_one_jumps_at_the_alexander_roots():
 
 
 def test_signature_takes_exact_points_of_the_circle():
-    # the zero form is singular at every point
+    # the zero form is singular at every point, omega = -1 included
     with pytest.raises(SignatureMarginError):
         signature_function(((0, 0), (0, 0)), (0, 1))
+    with pytest.raises(SignatureMarginError):
+        signature_function(((0, 0), (0, 0)))
     form = brick_seifert(TREFOIL)
     for omega in (1j, -1.0, (0.6, 0.8), (1, 1), (Fraction(1, 2), Fraction(1, 2)), (1, 0)):
         with pytest.raises(ValueError) as excinfo:
@@ -507,6 +509,9 @@ def circle_points():
     ),
     circle_points(),
 )
+# omega = -1, where the signature takes the m x m charpoly of A
+@example([[1, 1], [0, 1]], (-1, 0))
+@example([[-1, 0, 2], [1, 3, 0], [0, -2, 1]], (-1, 0))
 def test_exact_signature_matches_floating_point_eigenvalues(rows, point):
     numpy = pytest.importorskip("numpy")
     s = numpy.array(rows, dtype=float)

@@ -25,6 +25,7 @@ from braidkit.laurent import (
     count_roots_in,
     det_laurent,
     det_pencil,
+    det_transpose_pencil,
     normalized,
     slot_bits,
     sturm_chain,
@@ -479,6 +480,20 @@ def _gaussian_pivot_rows(rows):
             f = row[k] / pivot[k]
             row[k:] = [x - f * y for x, y in zip(row[k:], pivot[k:])]
     return out
+
+
+def test_integer_elimination_swaps_only_where_the_pivot_entry_is_zero():
+    # step 0 pivots in place; after it row 1 leads with 0, so step 1 swaps
+    # in row 2 and the sign flips once
+    rows = [[1, 2, 3], [2, 4, 1], [1, 3, 2]]
+    upper, det = _bareiss_plain([list(row) for row in rows])
+    assert det == _int_det(rows) == 5
+    assert upper == _gaussian_pivot_rows(rows) == [[1, 2, 3], [1, -1], [-5]]
+    # every pivot in place: no swap, no sign flip
+    rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    upper, det = _bareiss_plain([list(row) for row in rows])
+    assert det == _int_det(rows) == 18
+    assert upper == _gaussian_pivot_rows(rows)
 
 
 # -- the pivot rule ------------------------------------------------------
@@ -961,6 +976,47 @@ def test_packed_pencils_match_the_cofactor_oracle(case):
     poly, slot, _ = _one_slot(lambda: charpoly(a))
     assert _ref(poly) == _ref(_cofactor_det(shifted))
     assert slot == _hadamard_slot(shifted)
+
+
+@st.composite
+def seifert_matrices(draw):
+    """Square int S of size 0..7, dense or sparse: a sparse one keeps at
+    most n drawn entries and zeroes the rest, as a Seifert form of the
+    fibred column is mostly zeros."""
+    n = draw(st.integers(0, 7))
+    s = draw(st.lists(st.lists(_mixed_entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        keep = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+        s = [[x if (i, j) in keep else 0 for j, x in enumerate(row)] for i, row in enumerate(s)]
+    return s
+
+
+@settings(max_examples=150, deadline=None)
+@given(seifert_matrices())
+@example([])
+# a diagonal entry: S_ii - t S_ii counts once in row i as |S_ii| + |S_ii|
+@example([[3, 0], [0, 0]])
+# one nonzero off the diagonal sets two entries, in two rows
+@example([[0, -5], [0, 0]])
+def test_transpose_pencil_matches_det_pencil_and_the_cofactors(s):
+    minus_transpose = [[-x for x in column] for column in zip(*s)]
+    pencil = [list(zip(ra, rb)) for ra, rb in zip(s, minus_transpose)]
+    det, slot, value = _one_slot(lambda: det_transpose_pencil(s))
+    expected, expected_slot, _ = _one_slot(lambda: det_pencil(s, minus_transpose))
+    assert det == expected == _cofactor_det(pencil)
+    # packed from the nonzeros alone, at the slot of the full pencil
+    assert slot == expected_slot == _hadamard_slot(pencil)
+    assert value == _at(det, 1 << slot)
+
+
+def test_transpose_pencil_refuses_a_non_square_or_non_integer_matrix():
+    for s in ([[1, 2]], [[1], [2]], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="non-square"):
+            det_transpose_pencil(s)
+    # zeros too: a 0.0 or a Fraction is never read as an int
+    for s in ([[0.0]], [[1, 0], [0.0, 1]], [[Fraction(1)]], [[1, Fraction(0)], [0, 1]]):
+        with pytest.raises(TypeError):
+            det_transpose_pencil(s)
 
 
 @settings(max_examples=60, deadline=None)
