@@ -93,8 +93,7 @@ The polynomial is taken as `det_pencil` of the pencil with its two row
 blocks swapped, rows [B, A] over [A, -B] and the t-part permuted alike,
 which is (-1)^m times it and leaves both tests alone: the first-nonzero
 pivots then fall on the short entries of B rather than on the long
-diagonal of t I - M.  At omega = -1, B = 0 and the real form is diag(A, A),
-so the polynomial is `charpoly` of the m x m A and sigma is 2 (count) - m.
+diagonal of t I - M.
 """
 
 from __future__ import annotations
@@ -107,7 +106,6 @@ from .braid import BraidWord, closure_components
 from .laurent import (
     _divide,
     _unpack,
-    charpoly,
     det_laurent,
     det_pencil,
     det_transpose_pencil,
@@ -328,20 +326,16 @@ def signature_function(s, omega=-1) -> int:
         raise ValueError("omega must be a point of the unit circle other than 1")
     a, b = x.denominator - x.numerator, y.numerator  # d (1 - x) and d y
     big_a = [[a * (u + v) for u, v in zip(row, col)] for row, col in zip(s, zip(*s))]
-    if b:
-        big_b = [[b * (v - u) for u, v in zip(row, col)] for row, col in zip(s, zip(*s))]
-        top = [ra + [-v for v in rb] for ra, rb in zip(big_a, big_b)]  # [A, -B]
-        bottom = [rb + ra for ra, rb in zip(big_a, big_b)]  # [B, A]
-        swap = [[-int(j == (i + m) % (2 * m)) for j in range(2 * m)] for i in range(2 * m)]
-        # det(P M - t P) = (-1)^m det(t I - M) for the block swap P
-        p = det_pencil(bottom + top, swap)
-    else:
-        # omega = -1: B = 0 and the real form is diag(A, A), so A will do
-        p = charpoly(big_a)
+    big_b = [[b * (v - u) for u, v in zip(row, col)] for row, col in zip(s, zip(*s))]
+    top = [ra + [-v for v in rb] for ra, rb in zip(big_a, big_b)]  # [A, -B]
+    bottom = [rb + ra for ra, rb in zip(big_a, big_b)]  # [B, A]
+    swap = [[-int(j == (i + m) % (2 * m)) for j in range(2 * m)] for i in range(2 * m)]
+    # det(P M - t P) = (-1)^m det(t I - M) for the block swap P
+    p = det_pencil(bottom + top, swap)
     if not p[0]:
         raise SignatureMarginError("omega is a root of the Alexander polynomial")
-    # the roots are real and nonzero: 2m of them, each eigenvalue twice, or m
-    return _descartes(p) - m if b else 2 * _descartes(p) - m
+    # the 2m roots are real and nonzero, so (positive - negative) / 2 = positive - m
+    return _descartes(p) - m
 
 
 def _descartes(coeffs: list[int]) -> int:

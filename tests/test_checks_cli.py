@@ -1132,27 +1132,10 @@ def test_diff_reports_script_smoke(tmp_path, capsys):
     new.write_text(canonical_json({**document, "records": records * 2}), encoding="utf-8")
     assert script.main([str(old), str(new)]) == 2
     assert capsys.readouterr().err == "error: two records with key genus=1 power=0 variant=enhanced\n"
-
-
-def test_diff_reports_exit_codes_follow_diff(tmp_path):
-    # as diff(1): 0 identical, 1 differ, 2 trouble, and a usage error is
-    # trouble, not a difference, so it keeps argparse's 2
-    script = Path(__file__).resolve().parent.parent / "scripts" / "diff_reports.py"
-
-    def run(*args):
-        return subprocess.run(
-            [sys.executable, str(script), *map(str, args)], capture_output=True, text=True
-        ).returncode
-
-    record = {"genus": 1, "power": 0, "variant": "original", "determinant": 1}
-    old, new, broken = tmp_path / "old.json", tmp_path / "new.json", tmp_path / "broken.json"
-    old.write_text(json.dumps({"records": [record]}), encoding="utf-8")
-    new.write_text(json.dumps({"records": [{**record, "determinant": 7}]}), encoding="utf-8")
-    broken.write_text("{not json", encoding="utf-8")
-    assert run() == 2
-    assert run(old, broken) == 2
-    assert run(old, old) == 0
-    assert run(old, new) == 1
+    # as diff(1), a usage error is trouble, not a difference: argparse's 2
+    with pytest.raises(SystemExit) as excinfo:
+        script.main([])
+    assert excinfo.value.code == 2
 
 
 def test_growth_table_script_smoke(tmp_path, capsys):

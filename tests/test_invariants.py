@@ -509,7 +509,7 @@ def circle_points():
     ),
     circle_points(),
 )
-# omega = -1, where the signature takes the m x m charpoly of A
+# omega = -1, where the antisymmetric block B of the realified form is 0
 @example([[1, 1], [0, 1]], (-1, 0))
 @example([[-1, 0, 2], [1, 3, 0], [0, -2, 1]], (-1, 0))
 def test_exact_signature_matches_floating_point_eigenvalues(rows, point):
