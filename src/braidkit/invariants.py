@@ -45,6 +45,18 @@ chunk and gives 119.  Words longer than four 16-letter chunks take the
 chunk product; shorter ones keep the recurrence, which costs next to
 nothing beside the chunks.
 
+The recurrence keeps one integer per column: row i of the n - 1 rows sits
+in bits [i W, (i + 1) W) of every column's integer, W = L + 1 for L
+letters, so letter k is the one addition cols[k] += cols[k - 1] +
+cols[k + 1], and the largest field is read off at the end.  The entries
+are nonnegative and a letter adds to a row at most the row's sum, so every
+row sums to at most 2**L and no field reaches 2**W: no row carries into the
+next, and the bound is that of the recurrence row by row.  On the 60 short
+half-words of the example sweep it takes 0.21 ms against 0.65 row by row,
+and the 28 cold chunks, whose own slots come from it, 1.33 against 1.50 ms
+(in process, best of 50 and of 30, median of three processes, 2-core Xeon
+host).
+
 With N negative letters, every partial-product entry e has exponents
 >= -N, so t**N * e is a polynomial and its value at 2**B an integer.  A
 negative letter divides a difference of such values by 2**B; the quotient
@@ -142,12 +154,21 @@ def _l1_bound(n: int, letters) -> int:
                 [sum(map(mul, row, col)) for col in zip(*l1)] for row in bound
             ]
         return max(map(max, bound))
-    rows = [[int(i == j) for j in range(n + 1)] for i in range(1, n)]
+    # the t = 1 recurrence with column j one integer, row i in bits
+    # [i * width, (i + 1) * width): no entry reaches 2**width (module notes)
+    width = len(letters) + 1
+    cols = [0] + [1 << (width * i) for i in range(n - 1)] + [0]
     for x in letters:
         k = abs(x)
-        for row in rows:
-            row[k] += row[k - 1] + row[k + 1]
-    return max(map(max, rows))
+        cols[k] += cols[k - 1] + cols[k + 1]
+    mask = (1 << width) - 1
+    top = 0
+    for v in cols:
+        while v:
+            if v & mask > top:
+                top = v & mask
+            v >>= width
+    return top
 
 
 def _packed_burau(n: int, letters, bits: int = 0) -> tuple[list[list[int]], int, int]:

@@ -41,9 +41,11 @@ up-to-date entries are the stored ones times prev / divisor.  A real
 update divides by the row's divisor in place of prev, which gives the same
 exact minor, and sets the divisor to the step's pivot.  The pivot row, and
 the final entry, are brought up to date by one multiply by prev and one
-exact division by the divisor.  A stored entry is 0 exactly when its
-up-to-date value is, so the first nonzero entry is read off the stored
-rows, and its row is nearly always one that the step before updated.
+exact division by the divisor.  A divisor of 1, which every row has until
+its first real update, is skipped: neither elimination divides by it.  A
+stored entry is 0 exactly when its up-to-date value is, so the first
+nonzero entry is read off the stored rows, and its row is nearly always
+one that the step before updated.
 
 `_bareiss_plain` takes the integer matrices, on plain ints, each row
 dropping its pivot-column entry as the step passes it: the pencils of
@@ -271,10 +273,16 @@ def _bareiss_plain(rows: list[list[int]]) -> tuple[list[list[int]], int]:
             f = below[0]
             if f:
                 div = divs[i]
-                rows[i] = [
-                    (pivot * x - f * y) // div
-                    for x, y in zip(islice(below, 1, None), tail)
-                ]
+                if div == 1:
+                    # as before the row's first update: nothing to divide
+                    rows[i] = [
+                        pivot * x - f * y for x, y in zip(islice(below, 1, None), tail)
+                    ]
+                else:
+                    rows[i] = [
+                        (pivot * x - f * y) // div
+                        for x, y in zip(islice(below, 1, None), tail)
+                    ]
                 divs[i] = pivot
             else:
                 # the step would only scale the row by pivot / prev
@@ -356,7 +364,7 @@ def _bareiss_det(values: list[list[int]], exps: list[list[int]]) -> int:
                     # div divides the odd part exactly, and the quotient's
                     # exponent is its 2-adic valuation, hence >= 0
                     tz = (x & -x).bit_length() - 1
-                    mi[j] = (x >> tz) // div
+                    mi[j] = x >> tz if div == 1 else (x >> tz) // div
                     ei[j] = ex + tz - div_exp
                 else:
                     mi[j] = 0

@@ -122,15 +122,50 @@ def test_reduced_burau_matches_the_laurent_oracle(w):
     assert reduced_burau(w) == burau_oracle(w)
 
 
-def _recursion_slot(word):
-    """The t = 1 absolute-value recursion's slot, the rule for short words."""
-    n = word.strands
+def _row_recursion(n, letters):
+    """The largest entry of the t = 1 absolute-value recursion, row by row
+    on padded rows: the oracle of the stacked columns of `_l1_bound`."""
     rows = [[int(i == j) for j in range(n + 1)] for i in range(1, n)]
-    for x in word.letters:
+    for x in letters:
         k = abs(x)
         for row in rows:
             row[k] += row[k - 1] + row[k + 1]
-    return slot_bits(max(map(max, rows)))
+    return max(map(max, rows))
+
+
+def _recursion_slot(word):
+    """The t = 1 absolute-value recursion's slot, the rule for short words."""
+    return slot_bits(_row_recursion(word.strands, word.letters))
+
+
+@st.composite
+def short_recursion_words(draw):
+    """(n, letters): 2..14 strands and at most four chunks of letters, mixed
+    or one letter repeated."""
+    n = draw(st.integers(2, 14))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    size = 4 * invariants._CHUNK
+    letters = draw(
+        st.lists(letter, max_size=size)
+        | st.tuples(letter, st.integers(0, size)).map(lambda pair: [pair[0]] * pair[1])
+    )
+    return n, tuple(letters)
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_recursion_words())
+@example((2, ()))
+@example((14, ()))
+@example((2, (1,) * 64))
+@example((14, (7,) * 64))
+@example((3, (1, -2) * 32))
+@example((14, tuple(range(1, 14)) * 2 + tuple(range(13, 0, -1)) * 2 + (1,) * 12))
+def test_stacked_recursion_matches_the_row_recursion(case):
+    # one integer per column, the rows in fixed-width bit fields, gives the
+    # largest entry of the row-by-row recursion exactly
+    n, letters = case
+    assert len(letters) <= 4 * invariants._CHUNK  # the recursion's branch
+    assert invariants._l1_bound(n, letters) == _row_recursion(n, letters)
 
 
 @settings(max_examples=60, deadline=None)

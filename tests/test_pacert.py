@@ -50,6 +50,24 @@ def test_chain_pair_connected():
         assert chain_pair(g).is_connected()
 
 
+def test_chain_pair_is_built_once_per_genus_and_mu_still_reads_the_enclosure(monkeypatch):
+    # the pair is memoized; mu is not, so every call reads mu_enclosure,
+    # which the benchmark's span on pacert.mu_enclosure counts
+    assert chain_pair(3) is chain_pair(3)
+    with pytest.raises(TypeError):
+        chain_pair(3.0)  # the cache is typed: no int's pair for a float
+    calls = []
+
+    def counting(pair):
+        calls.append(pair)
+        return mu_enclosure(pair)
+
+    monkeypatch.setattr(pacert, "mu_enclosure", counting)
+    pair = chain_pair(3)
+    assert mu(pair) == mu(pair)
+    assert calls == [pair, pair]
+
+
 def test_disconnected_pair_detected():
     assert not MulticurvePair(((1, 0), (0, 1))).is_connected()
 
@@ -336,10 +354,12 @@ def _chain_enclose_inputs(genus):
     return charpoly(gram), Fraction(max(sum(map(abs, r)) for r in gram) + 1)
 
 
-# chain pairs at genus 1..8, and (t - 1)(e t - e - 1), e = 2^41, whose roots
-# 1 and 1 + 1/e are closer than MU_TOLERANCE
+# chain pairs at genus 1..8; (t - 1)(e t - e - 1), e = 2^41, whose roots
+# 1 and 1 + 1/e are closer than MU_TOLERANCE; and -(t - 1)(t + 3), whose
+# root 1 is the first midpoint, with p positive below it and negative above
 ENCLOSE_CASES = [_chain_enclose_inputs(g) for g in range(1, 9)] + [
-    ((2**41 + 1, -(2**42 + 1), 2**41), Fraction(2))
+    ((2**41 + 1, -(2**42 + 1), 2**41), Fraction(2)),
+    ((3, -2, -1), Fraction(2)),
 ]
 
 
@@ -391,10 +411,25 @@ def test_bisection_counts_once_per_halving(monkeypatch, poly, hi):
     sign_changes = pacert._sign_changes
     monkeypatch.setattr(pacert, "_sign_changes", counting)
     lo, out = pacert._enclose(poly, hi)
-    # each halving halves the width, so the final width is hi / 2**halvings
+    # each halving halves the width, so the final width is hi / 2**halvings,
+    # as many halvings as the two-count oracle makes
     halvings = (hi / (out - lo)).numerator.bit_length() - 1
     assert hi / (out - lo) == 2**halvings
-    assert len(calls) == halvings + 2
+    ref_lo, ref_hi = ref.enclose(poly, hi, MU_TOLERANCE)
+    assert ref_hi - ref_lo == out - lo
+    # Sturm counts at 0 and hi, then one per halving only until (lo, hi]
+    # isolates a root; the sign of the squarefree part decides the rest
+    sequence = ref.sturm_sequence(poly)
+    a, b, isolating = Fraction(0), hi, []
+    while ref.changes(sequence, a) - ref.changes(sequence, b) > 1:
+        mid = (a + b) / 2
+        isolating.append(mid)
+        if ref.changes(sequence, mid) != ref.changes(sequence, b):
+            a = mid
+        else:
+            b = mid
+    assert calls == [0, hi] + isolating
+    assert len(isolating) < halvings
 
 
 @pytest.mark.parametrize(
