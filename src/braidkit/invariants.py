@@ -101,11 +101,11 @@ z = u + iv, z* (A + iB) z is the real form [[A, -B], [B, A]] at (u, v),
 whose spectrum is that of A + iB twice over: its signature is 2 sigma.
 Descartes' rule counts the positive roots of its real-rooted
 characteristic polynomial; a zero constant term means omega is a root of Delta.
-The polynomial is taken as `det_pencil` of the pencil with its two row
-blocks swapped, rows [B, A] over [A, -B] and the t-part permuted alike,
-which is (-1)^m times it and leaves both tests alone: the first-nonzero
-pivots then fall on the short entries of B rather than on the long
-diagonal of t I - M.
+The polynomial is eliminated from `charpoly`'s own packed rows of t I - M,
+`laurent._charpoly_rows`, with the two row blocks swapped, the rows of
+[B, A] over those of [A, -B].  That is (-1)^m times it and leaves both
+tests alone: the first-nonzero pivots then fall on the short entries of B
+rather than on the long diagonal of t I - M.
 """
 
 from __future__ import annotations
@@ -116,10 +116,11 @@ from operator import mul
 
 from .braid import BraidWord, closure_components
 from .laurent import (
+    _bareiss_plain,
+    _charpoly_rows,
     _divide,
     _unpack,
     det_laurent,
-    det_pencil,
     det_transpose_pencil,
     normalized,
     packed_l1,
@@ -350,9 +351,9 @@ def signature_function(s, omega=-1) -> int:
     big_b = [[b * (v - u) for u, v in zip(row, col)] for row, col in zip(s, zip(*s))]
     top = [ra + [-v for v in rb] for ra, rb in zip(big_a, big_b)]  # [A, -B]
     bottom = [rb + ra for ra, rb in zip(big_a, big_b)]  # [B, A]
-    swap = [[-int(j == (i + m) % (2 * m)) for j in range(2 * m)] for i in range(2 * m)]
-    # det(P M - t P) = (-1)^m det(t I - M) for the block swap P
-    p = det_pencil(bottom + top, swap)
+    rows, bits = _charpoly_rows(top + bottom)
+    # swapping the two row blocks of t I - M gives (-1)^m times its determinant
+    p = _unpack(_bareiss_plain(rows[m:] + rows[:m])[1], bits)
     if not p[0]:
         raise SignatureMarginError("omega is a root of the Alexander polynomial")
     # the 2m roots are real and nonzero, so (positive - negative) / 2 = positive - m

@@ -11,21 +11,22 @@ for a known N.  Nothing here ever touches floating point.
 Determinants use Kronecker substitution: every entry is evaluated at
 t = 2**B, the integer matrix is eliminated fraction-free (Bareiss), and
 the determinant is read back off the final integer in balanced base-2**B
-digits, so the hot loop is CPython's big-integer multiply.  Four packers
-share the one slot rule below.  `det_laurent` packs a matrix of
-polynomials (the Burau path) and `det_pencil(A, B)` the integer pencil
-A + t*B as A_ij + (B_ij << B), entry by entry.  The fibred column's two
-pencils are packed straight from one matrix.  `charpoly` takes t*I - M
-from M: it negates each entry once, takes row i's sum of squared entry l1
-norms as sum_j M_ij**2 + 2|M_ii| + 1 (the diagonal entry -M_ii + t has l1
-norm |M_ii| + 1), and adds 2**B to the diagonal.  `det_transpose_pencil`
-takes S - t*S^T from the nonzero entries of S alone, found by `compress`:
-each x = S_ij adds x**2 + 2|x S_ji| to row i's sum of squares and x**2 to
-row j's, which sums the squared |S_ij| + |S_ji| of `det_pencil(S, -S^T)`,
-and then -x << B to entry (j, i) of S.  The Seifert forms are mostly
-zeros, and the 99 `monodromy-lift` determinants take about 0.6 of the
-time of `det_pencil(S, -S^T)`: 5.2 to 7.6 ms against 8.8 to 11.6 over
-two host speeds (in process, best of 15, 2-core Xeon).
+digits, so the hot loop is CPython's big-integer multiply.  Three
+packers share the one slot rule below, one per kind of matrix the product
+takes.  `det_laurent` packs a matrix of polynomials (the Burau path).  The
+two integer pencils are packed straight from one matrix.  `charpoly` takes
+t*I - M from M through `_charpoly_rows`: it negates each entry once, takes
+row i's sum of squared entry l1 norms as sum_j M_ij**2 + 2|M_ii| + 1 (the
+diagonal entry -M_ii + t has l1 norm |M_ii| + 1), and adds 2**B to the
+diagonal; `invariants.signature_function` eliminates the same rows with
+its two row blocks swapped.  `det_transpose_pencil` takes S - t*S^T from
+the nonzero entries of S alone, found by `compress`: each x = S_ij adds
+x**2 + 2|x S_ji| to row i's sum of squares and x**2 to row j's, which sums
+the squared |S_ij| + |S_ji| of the pencil's entries, and then -x << B to
+entry (j, i) of S.  The Seifert forms are mostly zeros, and the 99
+`monodromy-lift` determinants take about 0.6 of the time of a packing
+entry by entry: 5.2 to 7.6 ms against 8.8 to 11.6 over two host speeds
+(in process, best of 15, 2-core Xeon).
 
 There are two eliminations, one per kind of matrix, with one pivot rule
 and one deferred row scaling.  Step k pivots on row k when its column-k
@@ -49,15 +50,15 @@ one that the step before updated.
 
 `_bareiss_plain` takes the integer matrices, on plain ints, each row
 dropping its pivot-column entry as the step passes it: the pencils of
-the three integer packers, the Gram determinant of `coverlift.is_cyclic`
-and the augmented rows of `coverlift.seifert_from_monodromy`, which reads
-the caught-up pivot rows.  The pencils are sparse: the genus-10, power-10
-monodromy M has 170 zero entries in 400 and its Seifert form 358, and 170
-of the 190 row updates of either pencil, tI - M or S - tS^T, are such
-scalings.  On the 99 `monodromy-lift` matrices (the eliminations alone,
-in process, medians of 30 runs, 2-core Xeon host) it takes the charpolys
-in 5.8 ms against 9.7 for `_bareiss_det`, and the Seifert pencils in 4.1
-against 6.0.
+`charpoly`, `det_transpose_pencil` and `invariants.signature_function`,
+the Gram determinant of `coverlift.is_cyclic` and the augmented rows of
+`coverlift.seifert_from_monodromy`, which reads the caught-up pivot
+rows.  The pencils are sparse: the genus-10, power-10 monodromy M has 170
+zero entries in 400 and its Seifert form 358, and 170 of the 190 row
+updates of either pencil, tI - M or S - tS^T, are such scalings.  On the
+99 `monodromy-lift` matrices (the eliminations alone, in process, medians
+of 30 runs, 2-core Xeon host) it takes the charpolys in 5.8 ms against 9.7
+for `_bareiss_det`, and the Seifert pencils in 4.1 against 6.0.
 
 `_bareiss_det` takes the Burau matrices of `det_laurent`, whose packed
 entries carry powers of t.  It stores every entry, and each divisor, as an
@@ -129,9 +130,11 @@ the count from p and q is the Cauchy index of q / p; with q = p' * r, or
 its remainder mod p, it is Sylvester's: the roots x of p there, each
 counted once with the sign of r(x) (Basu, Pollack and Roy, Algorithms in
 Real Algebraic Geometry, ch. 2).
-The sign of a row q of degree d at x = a/b (b > 0) is the sign of the
-integer sum c_i a^i b^(d-i), which is b^d q(x).  Bisections pass the
-prebuilt `SturmChain` to `count_roots_in`.
+The sign of a row q of degree d at x = a/b, b > 0, is that of the integer
+b^d q(x) = sum c_i a^i b^(d-i), which `_homogeneous_value` takes by Horner
+in a with the powers of b; `_sign_changes(chain, a, b)` and the bisection
+of `pacert` both read it.  `count_roots_in` takes a `sturm_chain`, so a
+bisection builds its chain once.
 """
 
 from __future__ import annotations
@@ -399,30 +402,11 @@ def det_laurent(matrix) -> tuple[int, ...]:
     return tuple(_unpack(_bareiss_det(values, exps), bits))
 
 
-def det_pencil(a, b) -> tuple[int, ...]:
-    """Exact determinant det(A + t*B) of two square integer matrices.
-
-    The Hadamard slot rule of `det_laurent` on the pencil's entries
-    A_ij + B_ij * t, whose l1 norms are |A_ij| + |B_ij|, packed straight
-    from the integers and eliminated by `_bareiss_plain`.  The result is
-    dense from t**0.
-    """
-    n = len(a)
-    if len(b) != n or any(len(row) != n for row in a) or any(len(row) != n for row in b):
-        raise ValueError("determinant of a non-square pencil")
-    a = [[index(x) for x in row] for row in a]
-    b = [[index(y) for y in row] for row in b]
-    bits = _det_slot_bits(
-        sum((abs(x) + abs(y)) ** 2 for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-    values = [[x + (y << bits) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    return tuple(_unpack(_bareiss_plain(values)[1], bits))
-
-
 def det_transpose_pencil(s) -> tuple[int, ...]:
     """Exact determinant det(S - t*S^T) of a square integer matrix S, at
-    the slot of `det_pencil(S, -S^T)`, packed from the nonzero entries of S
-    alone (see the module notes).  The result is dense from t**0."""
+    the Hadamard slot of its entries S_ij - t*S_ji, packed from the nonzero
+    entries of S alone (see the module notes).  The result is dense from
+    t**0."""
     n = len(s)
     if any(len(row) != n for row in s):
         raise ValueError("determinant of a non-square pencil")
@@ -441,9 +425,9 @@ def det_transpose_pencil(s) -> tuple[int, ...]:
     return tuple(_unpack(_bareiss_plain(s)[1], bits))
 
 
-def charpoly(matrix) -> tuple[int, ...]:
-    """Characteristic polynomial det(t*I - M) of an integer matrix, exactly,
-    its pencil packed straight from M (see the module notes)."""
+def _charpoly_rows(matrix) -> tuple[list[list[int]], int]:
+    """The rows of t*I - M packed straight from the integer matrix M, and
+    their slot width (see the module notes)."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square pencil")
@@ -454,7 +438,13 @@ def charpoly(matrix) -> tuple[int, ...]:
     one = 1 << bits
     for i, row in enumerate(values):
         row[i] += one
-    return tuple(_unpack(_bareiss_plain(values)[1], bits))
+    return values, bits
+
+
+def charpoly(matrix) -> tuple[int, ...]:
+    """Characteristic polynomial det(t*I - M) of an integer matrix, exactly."""
+    rows, bits = _charpoly_rows(matrix)
+    return tuple(_unpack(_bareiss_plain(rows)[1], bits))
 
 
 # -- integer polynomials -----------------------------------------------
@@ -507,25 +497,15 @@ def _primitive(row) -> list[int]:
     return [c // content for c in row[:n]]
 
 
-class SturmChain(list):
-    """Sturm chain of a polynomial as integer rows (dense, ascending).
-
-    Row i is a positive integer multiple of p_i / gcd(p, q), where p_i is
-    the rational chain of p and q (p' unless given).  The positive scale
-    keeps every sign; the division keeps the rows from all vanishing at a
-    common root.  `count_roots_in` takes one of these in place of a
-    polynomial, so a bisection builds its chain once.
-    """
-
-
-def sturm_chain(p, q=None) -> SturmChain:
+def sturm_chain(p, q=None) -> list[list[int]]:
     """Sturm chain of a polynomial with int coefficients (dense, ascending),
     squarefree or not, and a second row q with int coefficients, p' by
-    default (see the module notes for q = (p' r) mod p).  A float or
-    Fraction coefficient of p raises TypeError."""
+    default (see the module notes for q = (p' r) mod p): row i is a positive
+    integer multiple of p_i / gcd(p, q), p_i the rational chain of p and q.
+    A float or Fraction coefficient of p raises TypeError."""
     p0 = _primitive(list(map(index, p)))
     if not p0:
-        return SturmChain()
+        return []
     chain = [p0]
     row = _primitive([i * c for i, c in enumerate(p0)][1:] if q is None else q)
     while row:
@@ -536,44 +516,43 @@ def sturm_chain(p, q=None) -> SturmChain:
     common = chain[-1]
     if len(common) > 1:
         chain = [_primitive(_divide(row, common)[0]) for row in chain]
-    return SturmChain(chain)
+    return chain
 
 
-def _sign_changes(chain: SturmChain, x: Fraction) -> int:
-    """Sign changes along the chain at the rational x = a/b, in integers.
+def _homogeneous_value(q, a: int, b: int) -> int:
+    """b**d * q(a / b), d = len(q) - 1, for a nonempty int row q, by Horner
+    in a with the powers of b; for b > 0 it has the sign of q(a / b)."""
+    d = len(q) - 1
+    acc = q[d]
+    power = 1
+    for i in range(d - 1, -1, -1):
+        power *= b
+        acc = acc * a + q[i] * power
+    return acc
 
-    With b > 0 the homogenised sum of c_i a^i b^(d-i) is b^d q(x), so it has
-    the sign of q(x); Horner in a with the powers of b does it exactly.
-    """
-    x = Fraction(x)
-    a, b = x.numerator, x.denominator
-    powers = [1]
-    for _ in range(max(len(q) for q in chain) - 1):
-        powers.append(powers[-1] * b)
+
+def _sign_changes(chain, a: int, b: int) -> int:
+    """Sign changes along a Sturm chain at the rational a / b, b > 0."""
     changes = 0
     last = 0
     for q in chain:
-        d = len(q) - 1
-        acc = q[d]
-        for i in range(d - 1, -1, -1):
-            acc = acc * a + q[i] * powers[d - i]
-        if acc:
-            if last and (acc > 0) != (last > 0):
+        value = _homogeneous_value(q, a, b)
+        if value:
+            if last and (value > 0) != (last > 0):
                 changes += 1
-            last = acc
+            last = value
     return changes
 
 
-def count_roots_in(p, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in the half-open interval (lo, hi].
-
-    p is a polynomial (dense, ascending, int coefficients) or its
-    `SturmChain`; lo and hi are rationals.  lo == hi is the empty interval;
-    lo > hi is an error.
+def count_roots_in(chain, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots in the half-open interval (lo, hi] of
+    the polynomial whose `sturm_chain` is chain; lo and hi are rationals.
+    lo == hi is the empty interval; lo > hi is an error.
     """
     if lo > hi:
         raise ValueError(f"root counting on ({lo}, {hi}]: lo > hi")
-    chain = p if isinstance(p, SturmChain) else sturm_chain(p)
     if not chain:
         raise ValueError("root counting for the zero polynomial")
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+    # (numerator, denominator > 0) of an int, a Fraction or a float, exactly
+    at_lo, at_hi = lo.as_integer_ratio(), hi.as_integer_ratio()
+    return _sign_changes(chain, *at_lo) - _sign_changes(chain, *at_hi)

@@ -529,6 +529,48 @@ def test_signature_takes_exact_points_of_the_circle():
         assert excinfo.type is ValueError, omega
 
 
+@pytest.mark.parametrize(
+    "point",
+    [(-1, 0), (Fraction(3, 5), Fraction(4, 5)), (0, 1), (Fraction(-7, 25), Fraction(24, 25))],
+)
+@pytest.mark.parametrize("form", ["6_2", "lift"])
+def test_signature_eliminates_charpolys_rows_with_the_blocks_swapped(monkeypatch, form, point):
+    s = brick_seifert(SIX_TWO) if form == "6_2" else seifert_from_monodromy(
+        lift_homological(family_braid(3, 2, "enhanced", allow_extension_fixture=True))
+    )
+    m = len(s)
+    x, y = map(Fraction, point)
+    a, b = x.denominator - x.numerator, y.numerator
+    big_a = [[a * (s[i][j] + s[j][i]) for j in range(m)] for i in range(m)]
+    big_b = [[b * (s[j][i] - s[i][j]) for j in range(m)] for i in range(m)]
+    # the realified form M = [[A, -B], [B, A]]
+    realified = [ra + [-v for v in rb] for ra, rb in zip(big_a, big_b)] + [
+        rb + ra for ra, rb in zip(big_a, big_b)
+    ]
+    rows, bits = laurent._charpoly_rows(realified)
+    handed, slots = [], []
+    real_plain, real_slot = invariants._bareiss_plain, laurent._det_slot_bits
+
+    def eliminate(matrix):
+        handed.append([list(row) for row in matrix])
+        upper, det = real_plain(matrix)
+        handed.append(det)
+        return upper, det
+
+    def slot(row_squares):
+        slots.append(real_slot(row_squares))
+        return slots[-1]
+
+    monkeypatch.setattr(invariants, "_bareiss_plain", eliminate)
+    monkeypatch.setattr(laurent, "_det_slot_bits", slot)
+    signature_function(s, point)
+    poly = laurent.charpoly(realified)
+    assert handed[0] == rows[m:] + rows[:m]
+    # at charpoly's own slot, and (-1)^m times its polynomial
+    assert slots == [bits, bits]
+    assert tuple(laurent._unpack(handed[1], bits)) == tuple((-1) ** m * c for c in poly)
+
+
 def circle_points():
     """(-1, 0) and the rational points ((1 - s^2) / (1 + s^2), 2s / (1 + s^2)), s != 0."""
     s = st.fractions(-20, 20, max_denominator=30).filter(lambda s: s != 0)

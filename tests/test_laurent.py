@@ -20,11 +20,11 @@ from braidkit.laurent import (
     _divide,
     _mul,
     _pack,
+    _sign_changes,
     _unpack,
     charpoly,
     count_roots_in,
     det_laurent,
-    det_pencil,
     det_transpose_pencil,
     normalized,
     slot_bits,
@@ -655,12 +655,11 @@ def packed_charpoly_pencils(draw):
 def test_elimination_of_packed_charpoly_pencils(case):
     pencil, bits = case
     n = len(pencil)
+    expected = _at(_cofactor_det(pencil), 1 << bits)
     values = [[_at(p, 1 << bits) for p in row] for row in pencil]
+    assert _bareiss_plain([list(row) for row in values])[1] == expected
     exps = [[0] * n for _ in range(n)]
-    assert _bareiss_det(values, exps) == _at(_cofactor_det(pencil), 1 << bits)
-    a = [[_ref(p).get(0, 0) for p in row] for row in pencil]
-    b = [[_ref(p).get(1, 0) for p in row] for row in pencil]
-    assert det_pencil(a, b) == _cofactor_det(pencil)
+    assert _bareiss_det(values, exps) == expected
 
 
 # long diagonal entries and short, often zero, off-diagonal ones, each
@@ -746,21 +745,9 @@ def _square(n):
     return st.lists(row, min_size=n, max_size=n)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 6).flatmap(lambda n: st.tuples(_square(n), _square(n))))
-def test_det_pencil_matches_det_laurent(case):
-    a, b = case
-    pencil = [[(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    assert det_pencil(a, b) == det_laurent(pencil)
-
-
-def test_det_pencil_near_the_leibniz_bound():
-    # det(H + tH) = det(H) (1 + t)**8 for the 8 x 8 Hadamard matrix: its
-    # middle coefficient 8**4 * C(8, 4) = 286720 overflows a slot sized
-    # as if every entry had one term (8! * 1**8, 18 bits)
-    h = [[(-1) ** bin(i & j).count("1") for j in range(8)] for i in range(8)]
-    expected = ref.mul({0: 8**4}, ref.power({0: 1, 1: 1}, 8))
-    assert _ref(det_pencil(h, h)) in (expected, ref.neg(expected))
+def _pencil_of(a, b):
+    """The matrix of polynomials A_ij + B_ij t."""
+    return [list(zip(ra, rb)) for ra, rb in zip(a, b)]
 
 
 # -- the Hadamard slot ----------------------------------------------------
@@ -847,16 +834,19 @@ def test_det_of_scaled_hadamard_rows(m, kind):
 @pytest.mark.parametrize("m", [1, 2, 4, 8])
 def test_det_pencil_of_hadamard_rows(m):
     h = _sylvester(m)
-    assert det_pencil(h, h) == _times_hadamard_det([ONE_PLUS_T] * m)
+    # det(H + tH) = det(H) (1 + t)**m: at m = 8 its middle coefficient
+    # 8**4 * C(8, 4) = 286720 overflows a slot sized as if every entry had
+    # one term (8! * 1**8, 18 bits)
+    assert det_laurent(_pencil_of(h, h)) == _times_hadamard_det([ONE_PLUS_T] * m)
     # row i of A + tB is (c_i + d_i t) times row i of H
     c = [next(iter(x.values())) for x in _ROW_SCALES["c * 2**k"][:m]]
     d = [(-3) ** i << (5 * i) for i in range(m)]
     a = [[ci * x for x in row] for ci, row in zip(c, h)]
     b = [[di * x for x in row] for di, row in zip(d, h)]
     expected = _times_hadamard_det([ref.poly(0, (ci, di)) for ci, di in zip(c, d)])
-    assert det_pencil(a, b) == expected
+    pencil = _pencil_of(a, b)
+    assert det_laurent(pencil) == expected
     if m <= 4:
-        pencil = [[(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
         assert _cofactor_det(pencil) == expected
 
 
@@ -893,18 +883,18 @@ def test_det_of_randomly_scaled_hadamard_rows(case):
     a = [[c * x for x in row] for (c, _), row in zip(pairs, h)]
     b = [[d * x for x in row] for (_, d), row in zip(pairs, h)]
     expected = _times_hadamard_det([ref.poly(0, pair) for pair in pairs])
-    assert det_pencil(a, b) == expected
+    assert det_laurent(_pencil_of(a, b)) == expected
 
 
 def test_det_slot_is_the_rounded_up_hadamard_bound():
     # rows with squared l1 norms 10 and 1: the bound is ceil(sqrt(10)) = 4
-    zeros = [[0, 0], [0, 0]]
-    assert _one_slot(lambda: det_pencil([[1, 3], [1, 0]], zeros))[1] == slot_bits(4)
+    # (t I - M has rows t, -3 and 0, t)
+    assert _one_slot(lambda: charpoly([[0, 3], [0, 0]]))[1] == slot_bits(4)
     m = [[(1,), (0, 0, 1, -2)], [(1,), ()]]
     assert _one_slot(lambda: det_laurent(m))[1] == slot_bits(4)
     # H_8 + tH_8: eight rows of squared norm 8 * 2**2, so the bound is 2**20
     h = _sylvester(8)
-    assert _one_slot(lambda: det_pencil(h, h))[1] == slot_bits(2**20)
+    assert _one_slot(lambda: det_laurent(_pencil_of(h, h)))[1] == slot_bits(2**20)
 
 
 def _row_l1_slot(norms):
@@ -915,15 +905,17 @@ def _row_l1_slot(norms):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(_square(n), _square(n))))
-def test_pencil_slot_is_never_wider_than_the_row_l1_slot(case):
-    a, b = case
-    norms = [[abs(x) + abs(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    det, slot, value = _one_slot(lambda: det_pencil(a, b))
+@given(st.integers(1, 6).flatmap(_square))
+def test_pencil_slot_is_never_wider_than_the_row_l1_slot(a):
+    # S - t S^T and t I - M from one integer matrix
+    norms = [[abs(x) + abs(y) for x, y in zip(row, col)] for row, col in zip(a, zip(*a))]
+    det, slot, value = _one_slot(lambda: det_transpose_pencil(a))
     assert slot <= _row_l1_slot(norms)
     # the one elimination runs at that slot: its value is det at t = 2**slot
     assert value == _at(det, 1 << slot)
+    norms = [[abs(x) + (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
     poly, slot, value = _one_slot(lambda: charpoly(a))
+    assert slot <= _row_l1_slot(norms)
     assert value == _at(poly, 1 << slot)
 
 
@@ -967,8 +959,8 @@ def _hadamard_slot(rows):
 @example(([[-2, -2], [0, 1]], [[0, 0], [0, 0]]))
 def test_packed_pencils_match_the_cofactor_oracle(case):
     a, b = case
-    pencil = [list(zip(ra, rb)) for ra, rb in zip(a, b)]
-    det, slot, _ = _one_slot(lambda: det_pencil(a, b))
+    pencil = _pencil_of(a, b)
+    det, slot, _ = _one_slot(lambda: det_laurent(pencil))
     assert _ref(det) == _ref(_cofactor_det(pencil))
     assert slot == _hadamard_slot(pencil)
     # tI - M: the pencil -M + t*I
@@ -1000,12 +992,11 @@ def seifert_matrices(draw):
 @example([[0, -5], [0, 0]])
 def test_transpose_pencil_matches_det_pencil_and_the_cofactors(s):
     minus_transpose = [[-x for x in column] for column in zip(*s)]
-    pencil = [list(zip(ra, rb)) for ra, rb in zip(s, minus_transpose)]
+    pencil = _pencil_of(s, minus_transpose)
     det, slot, value = _one_slot(lambda: det_transpose_pencil(s))
-    expected, expected_slot, _ = _one_slot(lambda: det_pencil(s, minus_transpose))
-    assert det == expected == _cofactor_det(pencil)
+    assert det == _cofactor_det(pencil)
     # packed from the nonzeros alone, at the slot of the full pencil
-    assert slot == expected_slot == _hadamard_slot(pencil)
+    assert slot == _hadamard_slot(pencil)
     assert value == _at(det, 1 << slot)
 
 
@@ -1044,13 +1035,6 @@ def test_genus_ten_fibred_slots():
     assert slot <= 79
 
 
-def test_det_pencil_rejects_a_non_square_pencil():
-    with pytest.raises(ValueError):
-        det_pencil([[1, 2]], [[1, 2]])
-    with pytest.raises(ValueError):
-        det_pencil([[1]], [[1], [2]])
-
-
 def test_charpoly_rejects_a_non_square_matrix():
     # charpoly packs its pencil itself, so it checks the shape itself
     for m in ([[1, 2], [3]], [[1], [2]], [[1, 2]]):
@@ -1059,11 +1043,11 @@ def test_charpoly_rejects_a_non_square_matrix():
 
 
 def test_pencil_entries_that_are_not_integers_raise():
-    # int() would drop the fractional parts: t, 2 + t and 0
+    # int() would drop the fractional parts: t, t - 2 and 0
     with pytest.raises(TypeError):
         charpoly([[Fraction(1, 2)]])
     with pytest.raises(TypeError):
-        det_pencil([[2.7]], [[1]])
+        charpoly([[2.7]])
     with pytest.raises(TypeError):
         alexander_from_seifert(((0.5, 0), (0, 0.5)))
 
@@ -1331,17 +1315,15 @@ def test_sturm_chain_takes_integer_coefficients_only():
     for p in ([Fraction(-1, 2), 0, 1], [F(-2), F(0), F(1)], [-2.0, 0, 1]):
         with pytest.raises(TypeError):
             sturm_chain(p)
-        with pytest.raises(TypeError):
-            count_roots_in(p, F(0), F(2))
-    assert count_roots_in([-1, 0, 2], Fraction(1, 2), Fraction(3, 4)) == 1
+    assert count_roots_in(sturm_chain([-1, 0, 2]), Fraction(1, 2), Fraction(3, 4)) == 1
 
 
 def test_count_roots_half_open():
-    x2m2 = [-2, 0, 1]
+    x2m2 = sturm_chain([-2, 0, 1])
     assert count_roots_in(x2m2, F(1), F(2)) == 1
     assert count_roots_in(x2m2, F(0), F(1)) == 0
     assert count_roots_in(x2m2, F(-2), F(2)) == 2
-    quad = [6, -5, 1]  # roots 2 and 3
+    quad = sturm_chain([6, -5, 1])  # roots 2 and 3
     assert count_roots_in(quad, F(1), F(3)) == 2
     assert count_roots_in(quad, F(2), F(3)) == 1  # 2 excluded, 3 included
     assert count_roots_in(quad, F(1), F(2)) == 1
@@ -1350,17 +1332,20 @@ def test_count_roots_half_open():
 
 def test_count_roots_refuses_a_reversed_interval():
     # (lo, lo] is empty; lo > hi is no interval, not a negative count
-    x2m2 = [-2, 0, 1]
+    x2m2 = sturm_chain([-2, 0, 1])
     assert count_roots_in(x2m2, F(2), F(2)) == 0
     with pytest.raises(ValueError, match="lo > hi"):
         count_roots_in(x2m2, F(2), F(-2))
     with pytest.raises(ValueError, match="lo > hi"):
-        count_roots_in(sturm_chain(x2m2), Fraction(1, 3), Fraction(1, 4))
+        count_roots_in(x2m2, Fraction(1, 3), Fraction(1, 4))
+    # the zero polynomial has no chain, and no count
+    with pytest.raises(ValueError, match="zero polynomial"):
+        count_roots_in(sturm_chain([0, 0]), F(0), F(1))
 
 
 def test_count_roots_with_repeated_factor():
     # (x-1)^2 (x+2) = x^3 - 3x + 2: multiplicity does not inflate the count
-    p = [2, -3, 0, 1]
+    p = sturm_chain([2, -3, 0, 1])
     assert count_roots_in(p, F(0), F(2)) == 1
     assert count_roots_in(p, F(-3), F(0)) == 1
     assert count_roots_in(p, F(-3), F(2)) == 2
@@ -1392,10 +1377,22 @@ def test_count_roots_matches_factored_oracle(roots, lead, data):
     )
     lo, hi = sorted((data.draw(endpoint), data.draw(endpoint)))
     expected = len({r for r, _ in roots if lo < r <= hi})
-    assert count_roots_in(p, lo, hi) == expected
     chain = sturm_chain(p)
     assert all(isinstance(c, int) for row in chain for c in row)
     assert count_roots_in(chain, lo, hi) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=6), max_size=5),
+    st.integers(-50, 50),
+    st.integers(1, 40),
+)
+# the first row vanishes at 4 / 2 = 2
+@example([[-2, 1], [1]], 4, 2)
+def test_sign_changes_at_a_ratio_match_the_reference(chain, a, b):
+    # rows that vanish at a / b, and ratios not in lowest terms, among them
+    assert _sign_changes(chain, a, b) == ref.changes(chain, Fraction(a, b))
 
 
 @settings(max_examples=300, deadline=None)

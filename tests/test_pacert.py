@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import polyref as ref
 from braidkit import pacert
-from braidkit.laurent import charpoly, count_roots_in
+from braidkit.laurent import charpoly, count_roots_in, sturm_chain
 from braidkit.pacert import (
     MU_TOLERANCE,
     MulticurvePair,
@@ -95,7 +95,7 @@ def test_mu_enclosure_certified_for_genus_1_to_12():
         assert 0 < hi - lo <= MU_TOLERANCE
         n = pair.matrix
         gram = [[sum(a * b for a, b in zip(r, s)) for s in n] for r in n]
-        assert count_roots_in(charpoly(gram), lo, hi) == 1
+        assert count_roots_in(sturm_chain(charpoly(gram)), lo, hi) == 1
         # the float closed form carries ~1e-15 error; the width is 1e-12
         expect = 4 * math.cos(math.pi / (2 * g + 1)) ** 2
         assert float(lo) - 1e-14 <= expect <= float(hi) + 1e-14
@@ -284,7 +284,7 @@ def test_sign_at_mu_is_exact_inside_the_enclosure():
     cert = mu_certificate(chain_pair(2))
     root = (cert.lo + cert.hi) / 2
     near = (-root.numerator, root.denominator)
-    assert count_roots_in(near, cert.lo, cert.hi) == 1
+    assert count_roots_in(sturm_chain(near), cert.lo, cert.hi) == 1
     expect = 1 if (2 * root - 3) ** 2 < 5 else -1  # mu > root
     assert pacert._sign_at_mu(near, cert) == expect
     assert pacert._sign_at_mu([-c for c in near], cert) == -expect
@@ -321,7 +321,7 @@ def test_mu_certificate_never_puts_lo_on_a_root():
     for pair in [chain_pair(g) for g in range(1, 31)] + _random_pairs(400, 2101):
         cert = mu_certificate(pair)
         assert _at(cert.poly, cert.lo) != 0
-        assert count_roots_in(cert.poly, cert.lo, cert.hi) == 1
+        assert count_roots_in(sturm_chain(cert.poly), cert.lo, cert.hi) == 1
         assert 0 < cert.hi - cert.lo <= MU_TOLERANCE
 
 
@@ -339,7 +339,7 @@ def test_a_root_at_lo_breaks_the_count_and_the_guard_moves_it():
     close = (e + 1, -(2 * e + 1), e)
     top = 1 + Fraction(1, e)
     unguarded = pacert.MuCertificate(close, Fraction(1), 1 + Fraction(2, e))
-    assert count_roots_in(close, unguarded.lo, unguarded.hi) == 1
+    assert count_roots_in(sturm_chain(close), unguarded.lo, unguarded.hi) == 1
     assert pacert._sign_at_mu((-1,), unguarded) == -2
     lo, hi = pacert._enclose(close, Fraction(2))
     assert _at(close, lo) != 0 and lo < top <= hi and hi - lo <= MU_TOLERANCE
@@ -366,6 +366,49 @@ ENCLOSE_CASES = [_chain_enclose_inputs(g) for g in range(1, 9)] + [
 @pytest.mark.parametrize("poly, hi", ENCLOSE_CASES)
 def test_one_count_bisection_matches_the_two_count_oracle(poly, hi):
     assert pacert._enclose(poly, hi) == ref.enclose(poly, hi, MU_TOLERANCE)
+
+
+# (genus, lo, hi) of the chain pairs' certificates, pinned: the float
+# traces in reports are read at the enclosure's midpoint
+CHAIN_ENCLOSURES = [
+    (1, "1099511627775/1099511627776", "1"),
+    (2, "2878558812543/1099511627776", "22488740723/8589934592"),
+    (3, "14280367317755/4398046511104", "28560734635515/8796093022208"),
+    (4, "31068582406055/8796093022208", "7767145601515/2199023255552"),
+    (5, "8097918676125/2199023255552", "32391674704505/8796093022208"),
+    (6, "33169293181855/8796093022208", "8292323295465/2199023255552"),
+    (7, "33663447695295/8796093022208", "8415861923825/2199023255552"),
+    (8, "33996410985345/8796093022208", "16998205492675/4398046511104"),
+    (9, "34231178924425/8796093022208", "17115589462215/4398046511104"),
+    (10, "17201400311395/4398046511104", "34402800622795/8796093022208"),
+    (11, "8633001527205/2199023255552", "34532006108825/8796093022208"),
+    (12, "34631681214475/8796093022208", "2164480075905/549755813888"),
+    (13, "8677543109305/2199023255552", "34710172437225/8796093022208"),
+    (14, "34773076555265/8796093022208", "17386538277635/4398046511104"),
+    (15, "34824259007005/8796093022208", "17412129503505/4398046511104"),
+    (16, "17433229184505/4398046511104", "34866458369015/8796093022208"),
+    (17, "34901658421645/8796093022208", "17450829210825/4398046511104"),
+    (18, "34931324507585/8796093022208", "17465662253795/4398046511104"),
+    (19, "17478278949965/4398046511104", "34956557899935/8796093022208"),
+    (20, "17489099561805/4398046511104", "34978199123615/8796093022208"),
+    (21, "4374612329675/1099511627776", "34996898637405/8796093022208"),
+    (22, "4376645767945/1099511627776", "35013166143565/8796093022208"),
+    (23, "35027405600465/8796093022208", "17513702800235/4398046511104"),
+    (24, "35039940484585/8796093022208", "17519970242295/4398046511104"),
+    (25, "35051032284855/8796093022208", "8762758071215/2199023255552"),
+    (26, "17530447112035/4398046511104", "35060894224075/8796093022208"),
+    (27, "35069701564395/8796093022208", "2191856347775/549755813888"),
+    (28, "35077599435045/8796093022208", "17538799717525/4398046511104"),
+    (29, "35084708840145/8796093022208", "17542354420075/4398046511104"),
+    (30, "35091131314585/8796093022208", "17545565657295/4398046511104"),
+]
+
+
+def test_chain_certificates_are_pinned_for_genus_1_to_30():
+    for genus, lo, hi in CHAIN_ENCLOSURES:
+        cert = mu_certificate(chain_pair(genus))
+        assert cert.poly == charpoly(pacert._gram(chain_pair(genus)))
+        assert (cert.lo, cert.hi) == (Fraction(lo), Fraction(hi))
 
 
 @st.composite
@@ -397,16 +440,16 @@ def test_one_count_bisection_matches_the_oracle_on_random_polynomials(case):
     poly, hi = case
     lo, hi_out = pacert._enclose(poly, hi)
     assert (lo, hi_out) == ref.enclose(poly, hi, MU_TOLERANCE)
-    assert count_roots_in(poly, lo, hi_out) == 1
+    assert count_roots_in(sturm_chain(poly), lo, hi_out) == 1
 
 
 @pytest.mark.parametrize("poly, hi", ENCLOSE_CASES)
 def test_bisection_counts_once_per_halving(monkeypatch, poly, hi):
     calls = []
 
-    def counting(chain, x):
-        calls.append(x)
-        return sign_changes(chain, x)
+    def counting(chain, a, b):
+        calls.append(Fraction(a, b))
+        return sign_changes(chain, a, b)
 
     sign_changes = pacert._sign_changes
     monkeypatch.setattr(pacert, "_sign_changes", counting)
